@@ -544,6 +544,17 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
     unsigned covered_budget = _params.coveredTilesPerCycle;
     unsigned skip_budget = _params.coarseSkipPerCycle;
 
+    // A held tile already passed raster and Hi-Z: it goes out first.
+    if (job.pending) {
+        if (cluster.fineQueue.size() >= _params.fineQueueDepth)
+            return;
+        cluster.fineQueue.push_back(std::move(*job.pending));
+        job.pending.reset();
+        ++statRasterTiles;
+        ++_frame.rasterTiles;
+        --covered_budget;
+    }
+
     while (covered_budget > 0 && skip_budget > 0) {
         if (job.tri >= job.prim->tris.size()) {
             cluster.raster.reset();
@@ -609,9 +620,8 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
         }
 
         if (cluster.fineQueue.size() >= _params.fineQueueDepth) {
-            // Back-pressure: rewind the scan position and stall.
-            job.tx = tx;
-            job.ty = ty;
+            // Back-pressure: hold the tile and stall.
+            job.pending = std::move(tile);
             return;
         }
         cluster.fineQueue.push_back(tile);

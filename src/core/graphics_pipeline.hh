@@ -10,6 +10,12 @@
  *   G    per-cluster setup (+ vertex data fetch from L2)
  *   H-I  coarse + fine rasterization (1 raster tile/cycle)
  *   J    Hi-Z rejection
+ *        Stall contract: when a cluster's fine queue is full, the
+ *        tile that just passed H-J is held in its RasterJob (at most
+ *        one per cluster) and pushed before the scan resumes, so
+ *        every tile is rasterized, Hi-Z-tested and Hi-Z-updated
+ *        exactly once. A held tile is never live at a checkpoint:
+ *        checkpointSafe() is false while a frame is open.
  *   K    TC stage: tile coalescing, per-position interlock
  *   L-N  in-shader ROP (ZTEST/BLEND/STFB woven by ShaderBuilder)
  *   O    framebuffer commit
@@ -165,6 +171,15 @@ class GraphicsPipeline : public SimObject,
         const PrimRecord *prim;
     };
 
+    /**
+     * One primitive being scanned by a cluster's raster stage. The
+     * scan position (tri, tx, ty) is the next tile to examine;
+     * @c pending is a tile that passed raster and Hi-Z but found the
+     * fine queue full. It is pushed before scanning resumes and never
+     * re-rasterized or re-tested: the tile's owner cluster is stalled,
+     * so nothing else can touch its Hi-Z entry meanwhile. No
+     * checkpoint code: jobs exist only while a frame is open.
+     */
     struct RasterJob
     {
         PrimVec holder;
@@ -172,6 +187,7 @@ class GraphicsPipeline : public SimObject,
         std::size_t tri = 0;
         int tx = 0;
         int ty = 0;
+        std::optional<FragmentTile> pending;
     };
 
     struct ClusterState

@@ -1,3 +1,5 @@
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/shader_builder.hh"
@@ -38,6 +40,61 @@ drawnPixels(core::Framebuffer &fb)
     return count;
 }
 
+/**
+ * Render a near full-screen quad and then an identical one behind it
+ * into @p fb through @p pipe; returns the frame's stats.
+ */
+core::FrameStats
+renderOccluderFrame(soc::StandaloneGpu &rig, core::GraphicsPipeline &pipe,
+                    core::Framebuffer &fb)
+{
+    mem::FunctionalMemory &fmem = rig.functionalMemory();
+    core::ShaderBuilder builder;
+    const auto *vs = builder.buildVertex(
+        "vs", scenes::vertexShaderSource());
+    core::RenderState state;
+    state.cullBackface = false;
+    const auto *fs = builder.buildFragment(
+        "fs", scenes::fragmentFlatSource(), state);
+
+    auto fullscreen = [&](float z) {
+        float verts[6][8] = {
+            {-1, -1, z, 0, 0, 1, 0, 0}, {1, -1, z, 0, 0, 1, 1, 0},
+            {1, 1, z, 0, 0, 1, 1, 1},   {-1, -1, z, 0, 0, 1, 0, 0},
+            {1, 1, z, 0, 0, 1, 1, 1},   {-1, 1, z, 0, 0, 1, 0, 1},
+        };
+        Addr vb = fmem.allocate(sizeof(verts), 128);
+        fmem.write(vb, verts, sizeof(verts));
+        core::DrawCall draw;
+        draw.vertexProgram = vs;
+        draw.fragmentProgram = fs;
+        draw.vertexCount = 6;
+        draw.vertexBufferAddr = vb;
+        draw.floatsPerVertex = 8;
+        draw.numVaryings = scenes::standardVaryings;
+        draw.memory = &fmem;
+        draw.state = state;
+        draw.constants.resize(24, 0.0f);
+        for (int i = 0; i < 4; ++i)
+            draw.constants[static_cast<std::size_t>(i) * 4 +
+                           static_cast<std::size_t>(i)] = 1.0f;
+        draw.constants[19] = 0.5f;
+        return draw;
+    };
+
+    pipe.beginFrame(&fb);
+    pipe.submitDraw(fullscreen(0.1f)); // Near occluder.
+    pipe.submitDraw(fullscreen(0.9f)); // Fully occluded.
+    bool done = false;
+    core::FrameStats stats;
+    pipe.endFrame([&](const core::FrameStats &s) {
+        stats = s;
+        done = true;
+    });
+    EXPECT_TRUE(rig.runUntil([&] { return done; }));
+    return stats;
+}
+
 } // namespace
 
 TEST(PipelineCorrectness, ImageIdenticalAcrossWtSizes)
@@ -66,8 +123,6 @@ TEST(PipelineCorrectness, ImageIdenticalWithHiZDisabled)
 {
     std::uint64_t hashes[2];
     for (int enabled = 0; enabled < 2; ++enabled) {
-        Simulation *sim_keep = nullptr;
-        (void)sim_keep;
         core::GfxParams gfx;
         gfx.hizEnabled = enabled != 0;
         soc::StandaloneGpu rig(128, 96);
@@ -244,51 +299,8 @@ TEST(PipelineCorrectness, HiZCullsOccludedWork)
     // Draw a big near quad first, then geometry behind it: Hi-Z must
     // reject a meaningful share of the occluded tiles.
     soc::StandaloneGpu rig(128, 96);
-    mem::FunctionalMemory &fmem = rig.functionalMemory();
-    core::ShaderBuilder builder;
-    const auto *vs = builder.buildVertex(
-        "vs", scenes::vertexShaderSource());
-    core::RenderState state;
-    state.cullBackface = false;
-    const auto *fs = builder.buildFragment(
-        "fs", scenes::fragmentFlatSource(), state);
-
-    auto fullscreen = [&](float z) {
-        float verts[6][8] = {
-            {-1, -1, z, 0, 0, 1, 0, 0}, {1, -1, z, 0, 0, 1, 1, 0},
-            {1, 1, z, 0, 0, 1, 1, 1},   {-1, -1, z, 0, 0, 1, 0, 0},
-            {1, 1, z, 0, 0, 1, 1, 1},   {-1, 1, z, 0, 0, 1, 0, 1},
-        };
-        Addr vb = fmem.allocate(sizeof(verts), 128);
-        fmem.write(vb, verts, sizeof(verts));
-        core::DrawCall draw;
-        draw.vertexProgram = vs;
-        draw.fragmentProgram = fs;
-        draw.vertexCount = 6;
-        draw.vertexBufferAddr = vb;
-        draw.floatsPerVertex = 8;
-        draw.numVaryings = scenes::standardVaryings;
-        draw.memory = &fmem;
-        draw.state = state;
-        draw.constants.resize(24, 0.0f);
-        for (int i = 0; i < 4; ++i)
-            draw.constants[static_cast<std::size_t>(i) * 4 +
-                           static_cast<std::size_t>(i)] = 1.0f;
-        draw.constants[19] = 0.5f;
-        return draw;
-    };
-
     core::Framebuffer fb(128, 96);
-    rig.pipeline().beginFrame(&fb);
-    rig.pipeline().submitDraw(fullscreen(0.1f)); // Near occluder.
-    rig.pipeline().submitDraw(fullscreen(0.9f)); // Fully occluded.
-    bool done = false;
-    core::FrameStats stats;
-    rig.pipeline().endFrame([&](const core::FrameStats &s) {
-        stats = s;
-        done = true;
-    });
-    ASSERT_TRUE(rig.runUntil([&] { return done; }));
+    core::FrameStats stats = renderOccluderFrame(rig, rig.pipeline(), fb);
     // The second draw's tiles are all occluded; Hi-Z kills them
     // before fragment shading.
     EXPECT_GT(stats.hizRejects, 300u);
@@ -318,4 +330,63 @@ TEST(PipelineCorrectness, OutOfOrderPrimitivesImageMatches)
         hashes[ooo] = scene.framebuffer().colorHash();
     }
     EXPECT_EQ(hashes[0], hashes[1]);
+}
+
+TEST(PipelineCorrectness, BackpressureLeavesResultsUnchanged)
+{
+    // A one-deep fine queue and one TC engine per cluster stall the
+    // raster stage on most tiles. A stalled tile is held and pushed
+    // later; the image and tile counts must match an unstalled run,
+    // including when Hi-Z bounds move while tiles are held (the
+    // occluder frame has Hi-Z rejects, see HiZCullsOccludedWork).
+    // Only the cycle count may move, and it must, or the stall path
+    // never ran.
+    core::GfxParams tight;
+    tight.fineQueueDepth = 1;
+    tight.tcEnginesPerCluster = 1;
+
+    struct Run
+    {
+        std::uint64_t hash;
+        core::FrameStats stats;
+    };
+    auto suzanne = [](const core::GfxParams &gfx) {
+        soc::StandaloneGpu rig(128, 96);
+        core::GraphicsPipeline pipe(rig.sim(), "gfx_bp", rig.gpu(), 128,
+                                    96, gfx);
+        scenes::SceneRenderer scene(
+            pipe, scenes::makeWorkload(scenes::WorkloadId::W4_Suzanne),
+            rig.functionalMemory());
+        bool done = false;
+        core::FrameStats stats;
+        scene.renderFrame(0, [&](const core::FrameStats &s) {
+            stats = s;
+            done = true;
+        });
+        EXPECT_TRUE(rig.runUntil([&] { return done; }));
+        return Run{scene.framebuffer().colorHash(), stats};
+    };
+    auto occluder = [](const core::GfxParams &gfx) {
+        soc::StandaloneGpu rig(128, 96);
+        core::GraphicsPipeline pipe(rig.sim(), "gfx_bp", rig.gpu(), 128,
+                                    96, gfx);
+        core::Framebuffer fb(128, 96);
+        core::FrameStats stats = renderOccluderFrame(rig, pipe, fb);
+        return Run{fb.colorHash(), stats};
+    };
+
+    const std::pair<const char *, Run (*)(const core::GfxParams &)>
+        frames[] = {{"suzanne", +suzanne}, {"occluder", +occluder}};
+    for (const auto &[name, frame] : frames) {
+        Run base = frame(core::GfxParams{});
+        Run stalled = frame(tight);
+        EXPECT_GT(base.stats.rasterTiles, 0u) << name;
+        EXPECT_EQ(stalled.hash, base.hash) << name;
+        EXPECT_EQ(stalled.stats.rasterTiles, base.stats.rasterTiles)
+            << name;
+        EXPECT_EQ(stalled.stats.hizRejects, base.stats.hizRejects)
+            << name;
+        EXPECT_EQ(stalled.stats.fragments, base.stats.fragments) << name;
+        EXPECT_NE(stalled.stats.cycles, base.stats.cycles) << name;
+    }
 }
