@@ -34,8 +34,7 @@ namespace emerald::bench
  * numbers the bench prints) plus optional full simulation stat trees
  * and hands them to the StatsSink named by --stats-out=<uri> (a plain
  * path writes the legacy JSON document byte-for-byte, sqlite:<path>
- * the sweep database, nothing/null discards). --stats-json=<path> is
- * a deprecated alias for --stats-out=<path>.
+ * the sweep database, nothing/null discards).
  */
 class BenchResults
 {
@@ -43,14 +42,7 @@ class BenchResults
     BenchResults(const Config &cfg, std::string bench)
         : _bench(std::move(bench))
     {
-        std::string uri = cfg.getString("stats-out", "");
-        if (cfg.has("stats-json")) {
-            warn("--stats-json is deprecated; use "
-                 "--stats-out=<path|sqlite:path|null>");
-            if (uri.empty())
-                uri = cfg.getString("stats-json", "");
-        }
-        _sink = makeStatsSink(uri);
+        _sink = makeStatsSink(cfg.getString("stats-out", ""));
         RunInfo info;
         info.bench = _bench;
         info.gitSha = cfg.getString("git-sha", "");

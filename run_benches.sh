@@ -11,7 +11,6 @@
 #   --stats-out <dir>   also write one machine-readable JSON results
 #                       file per bench into <dir> (see
 #                       docs/observability.md for the schema).
-#   --stats-json <dir>  deprecated alias for --stats-out.
 #
 # Exits nonzero if any bench fails, listing the failures at the end;
 # the remaining benches still run so one bad bench does not hide the
@@ -24,8 +23,8 @@ BENCH="$SCRIPT_DIR/build/bench/emerald_bench"
 
 STATS_DIR=""
 case "${1-}" in
---stats-out=* | --stats-json=*) STATS_DIR="${1#*=}" ;;
---stats-out | --stats-json) STATS_DIR="${2-}" ;;
+--stats-out=*) STATS_DIR="${1#*=}" ;;
+--stats-out) STATS_DIR="${2-}" ;;
 "") ;;
 *)
     echo "usage: $0 [--stats-out <dir>]" >&2

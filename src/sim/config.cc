@@ -26,8 +26,8 @@ const char *const knownKeys[] = {
     "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
     "fault-plan", "fault-seed", "hang-report-path", "mem-sched",
     "profile", "replay-trace", "restore", "restore-force",
-    "sim-stats-json", "sim-stats-out", "trace-file", "warp-sched",
-    "watchdog-mode", "watchdog-ticks",
+    "sim-stats-out", "trace-file", "warp-sched", "watchdog-mode",
+    "watchdog-ticks",
     // Run supervisor (bench_main --supervise).
     "supervise", "supervise-backoff-ms", "supervise-dir",
     "supervise-kill-after-ms", "supervise-retries",
@@ -38,8 +38,8 @@ const char *const knownKeys[] = {
     "height", "highload", "maxwt", "model", "n", "name", "npu",
     "npu-dma-outstanding", "npu-fps", "npu-frames", "npu-model",
     "npu-queue-depth", "npu-scratch-kb", "npu-tile", "out", "outdir",
-    "prep", "quick", "run_frames", "stats", "stats-json", "stats-out",
-    "width", "workload", "wt",
+    "prep", "quick", "run_frames", "stats", "stats-out", "width",
+    "workload", "wt",
     // Bench registry front end (bench_main) and sweep driver.
     "bench-bin", "ckpt-share-keys", "db", "dry-run", "git-sha",
     "jobs", "list", "retries", "retry-backoff-ms", "run", "spec",
@@ -58,10 +58,10 @@ const char *const fingerprintExcludedKeys[] = {
     "dry-run", "git-sha", "hang-report-path", "jobs", "list", "name",
     "out", "outdir", "profile", "replay-trace", "restore",
     "restore-force", "retries", "retry-backoff-ms", "run",
-    "sim-stats-json", "sim-stats-out", "spec", "stats", "stats-json",
-    "stats-out", "supervise", "supervise-backoff-ms", "supervise-dir",
-    "supervise-kill-after-ms", "supervise-retries", "trace-file",
-    "watchdog-mode", "watchdog-ticks",
+    "sim-stats-out", "spec", "stats", "stats-out", "supervise",
+    "supervise-backoff-ms", "supervise-dir", "supervise-kill-after-ms",
+    "supervise-retries", "trace-file", "watchdog-mode",
+    "watchdog-ticks",
 };
 
 bool
@@ -115,7 +115,7 @@ Config::parseArgs(int argc, char **argv)
         if (eq != std::string::npos) {
             set(key, arg.substr(eq + 1));
         } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-            // "--key value" form, e.g. "--stats-json out.json".
+            // "--key value" form, e.g. "--stats-out out.json".
             set(key, argv[++i]);
         } else {
             // Bare "--flag" is a boolean switch.

@@ -137,12 +137,6 @@ SimulationBuilder::observability(const Config &cfg)
     traceFile(cfg.getString("trace-file", _traceFile));
     profiling(cfg.getBool("profile", _profiling));
     statsOutOnExit(cfg.getString("sim-stats-out", _statsOutOnExit));
-    if (cfg.has("sim-stats-json")) {
-        warn("--sim-stats-json is deprecated; use "
-             "--sim-stats-out=<path|sqlite:path|null>");
-        if (!cfg.has("sim-stats-out"))
-            statsOutOnExit(cfg.getString("sim-stats-json", ""));
-    }
     checkDeterminism(cfg.getBool("check-determinism", _checkDeterminism));
     faultPlan(cfg.getString("fault-plan", _faultPlan),
               cfg.getU64("fault-seed", _faultSeed));

@@ -144,8 +144,7 @@ class SimulationBuilder
 
     /**
      * Read the observability keys from @p cfg: "trace-file" (path),
-     * "profile" (bool), "sim-stats-out" (sink URI, dumped at exit;
-     * "sim-stats-json" is a deprecated alias),
+     * "profile" (bool), "sim-stats-out" (sink URI, dumped at exit),
      * "check-determinism" (bool, --check-determinism on the CLI),
      * the robustness keys "fault-plan" (campaign string),
      * "fault-seed" (integer), "watchdog-ticks" (duration: "1ms",

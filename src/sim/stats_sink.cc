@@ -12,6 +12,7 @@
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
+#include "sim/supervise/supervisor.hh"
 
 #ifdef EMERALD_HAS_SQLITE
 #include <sqlite3.h>
@@ -35,18 +36,6 @@ jsonResultNumber(double v)
     os.precision(17);
     os << v;
     return os.str();
-}
-
-/** Current wall-clock time as "YYYY-MM-DDTHH:MM:SSZ" (UTC). */
-std::string
-isoNow()
-{
-    std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    gmtime_r(&now, &tm_utc);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-    return buf;
 }
 
 /** Discards everything; what "" and "null" URIs resolve to. */
@@ -206,19 +195,9 @@ class SqliteSink : public StatsSink
 {
   public:
     explicit SqliteSink(const std::string &path)
-    {
-        if (sqlite3_open(path.c_str(), &_db) != SQLITE_OK) {
-            fatal("cannot open sqlite stats db '%s': %s", path.c_str(),
-                  _db ? sqlite3_errmsg(_db) : "out of memory");
-        }
-        sqlite3_busy_timeout(_db, sqliteBusyTimeoutMs(120000));
-        // WAL lets sweep workers commit without blocking readers;
-        // best effort (plain rollback journal is correct too).
-        exec("PRAGMA journal_mode=WAL", true);
-        exec("PRAGMA synchronous=NORMAL", true);
-        createSchema();
-        _start = std::chrono::steady_clock::now();
-    }
+        : _db(openResultsDb(path)),
+          _start(std::chrono::steady_clock::now())
+    {}
 
     SqliteSink(const SqliteSink &) = delete;
     SqliteSink &operator=(const SqliteSink &) = delete;
@@ -270,14 +249,11 @@ class SqliteSink : public StatsSink
 
   private:
     void
-    exec(const char *sql, bool best_effort = false)
+    exec(const char *sql)
     {
         std::string msg;
-        if (sqliteExecRetry(_db, sql, &msg) != SQLITE_OK) {
-            if (!best_effort)
-                fatal("sqlite stats db: '%s' failed: %s", sql,
-                      msg.c_str());
-        }
+        if (sqliteExecRetry(_db, sql, &msg) != SQLITE_OK)
+            fatal("sqlite stats db: '%s' failed: %s", sql, msg.c_str());
     }
 
     void
@@ -308,15 +284,6 @@ class SqliteSink : public StatsSink
         if (rc != SQLITE_DONE)
             fatal("sqlite stats db: '%s' failed: %s", what,
                   sqlite3_errmsg(_db));
-    }
-
-    void
-    createSchema()
-    {
-        exec("BEGIN IMMEDIATE");
-        for (const std::string &ddl : sweepSchemaStatements())
-            exec(ddl.c_str());
-        exec("COMMIT");
     }
 
     std::int64_t
@@ -403,10 +370,10 @@ class SqliteSink : public StatsSink
         sqlite3_finalize(stmt);
     }
 
-    sqlite3 *_db = nullptr;
+    sqlite3 *_db;
+    std::chrono::steady_clock::time_point _start;
     RunInfo _info;
     std::vector<std::pair<std::string, double>> _rows;
-    std::chrono::steady_clock::time_point _start;
     bool _done = false;
 };
 
@@ -425,6 +392,17 @@ makeSqliteSink(const std::string &uri)
 }
 
 } // namespace
+
+std::string
+isoNow()
+{
+    std::time_t now = std::time(nullptr);
+    std::tm tm_utc{};
+    gmtime_r(&now, &tm_utc);
+    char buf[32];
+    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
+    return buf;
+}
 
 bool
 isSqliteUri(const std::string &uri)
@@ -463,8 +441,19 @@ makeStatsSink(const std::string &uri)
     return std::make_unique<JsonFileSink>(uri);
 }
 
+#ifdef EMERALD_HAS_SQLITE
+
+namespace
+{
+
+/**
+ * The results-store DDL, one CREATE TABLE IF NOT EXISTS (or seed
+ * INSERT) per statement. openResultsDb() runs it on every open, so
+ * whichever process touches the DB first creates the tables and the
+ * schema cannot drift between SqliteSink and SweepDb.
+ */
 const std::vector<std::string> &
-sweepSchemaStatements()
+schemaStatements()
 {
     static const std::vector<std::string> ddl = {
         "CREATE TABLE IF NOT EXISTS sweep_meta("
@@ -513,8 +502,13 @@ sweepSchemaStatements()
     return ddl;
 }
 
+/**
+ * Busy-handler timeout for results-store connections: the
+ * EMERALD_SQLITE_BUSY_MS environment variable when set (stress tests
+ * shrink it to force the busy-retry path), else @p dfltMs.
+ */
 int
-sqliteBusyTimeoutMs(int dfltMs)
+busyTimeoutMs(int dfltMs)
 {
     const char *env = std::getenv("EMERALD_SQLITE_BUSY_MS");
     if (!env || !*env)
@@ -526,11 +520,6 @@ sqliteBusyTimeoutMs(int dfltMs)
     return static_cast<int>(std::min<long>(ms, 600000));
 }
 
-#ifdef EMERALD_HAS_SQLITE
-
-namespace
-{
-
 /**
  * Deterministic per-connection jitter in [0, limit): a splitmix64
  * finalizer over the connection pointer and attempt number. The
@@ -539,7 +528,7 @@ namespace
  * would make contention stalls unreproducible.
  */
 unsigned
-backoffJitter(sqlite3 *db, int attempt, unsigned limit)
+backoffJitter(sqlite3 *db, unsigned attempt, unsigned limit)
 {
     std::uint64_t x = reinterpret_cast<std::uintptr_t>(db);
     x += static_cast<std::uint64_t>(::getpid());
@@ -552,47 +541,81 @@ backoffJitter(sqlite3 *db, int attempt, unsigned limit)
     return limit ? static_cast<unsigned>(x % limit) : 0;
 }
 
-} // namespace
-
+/**
+ * Run @p op (one sqlite3 call) until it returns anything but
+ * SQLITE_BUSY / SQLITE_LOCKED. A dozen attempts on the 2 ms doubling
+ * schedule capped at 250 ms, half of it jittered, span a few seconds
+ * past the busy handler's own patience: enough for a whole sweep's
+ * worth of workers fighting over one WAL.
+ */
+template <typename Op>
 int
-sqliteExecRetry(sqlite3 *db, const char *sql, std::string *errOut)
+retryBusy(sqlite3 *db, Op op)
 {
-    // A dozen attempts with the doubling schedule below spans a few
-    // seconds past the busy handler's own patience — enough for a
-    // whole sweep's worth of workers fighting over one WAL.
-    constexpr int maxAttempts = 12;
-    constexpr unsigned baseDelayMs = 2;
-    constexpr unsigned capDelayMs = 250;
-
+    constexpr unsigned maxAttempts = 12;
     int rc = SQLITE_OK;
-    for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-        char *err = nullptr;
-        rc = sqlite3_exec(db, sql, nullptr, nullptr, &err);
-        if (rc != SQLITE_BUSY && rc != SQLITE_LOCKED) {
-            if (errOut)
-                *errOut = err ? err : (rc == SQLITE_OK ? "" : "error");
-            sqlite3_free(err);
+    for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
+        rc = op();
+        if (rc != SQLITE_BUSY && rc != SQLITE_LOCKED)
             return rc;
-        }
-        if (errOut)
-            *errOut = err ? err : "database is locked";
-        sqlite3_free(err);
-        // No rollback here: a busy BEGIN opened nothing, and a busy
-        // COMMIT leaves its transaction intact for the retry.
-        unsigned delay = std::min(capDelayMs, baseDelayMs << attempt);
+        unsigned delay = supervise::retryBackoffMs(2, attempt, 250);
         delay = delay / 2 + backoffJitter(db, attempt, delay / 2 + 1);
         ::usleep(delay * 1000u);
     }
     return rc;
 }
 
-#else // !EMERALD_HAS_SQLITE
+} // namespace
 
 int
-sqliteExecRetry(sqlite3 *, const char *sql, std::string *)
+sqliteExecRetry(sqlite3 *db, const char *sql, std::string *errOut)
 {
-    fatal("sqliteExecRetry('%s'): this build has no SQLite support",
-          sql);
+    // No rollback on busy: a busy BEGIN opened nothing, and a busy
+    // COMMIT leaves its transaction intact for the retry.
+    return retryBusy(db, [&] {
+        char *err = nullptr;
+        int rc = sqlite3_exec(db, sql, nullptr, nullptr, &err);
+        if (errOut)
+            *errOut = err ? err : (rc == SQLITE_OK ? "" : "error");
+        sqlite3_free(err);
+        return rc;
+    });
+}
+
+int
+sqliteStepRetry(sqlite3_stmt *stmt)
+{
+    return retryBusy(sqlite3_db_handle(stmt), [&] {
+        int rc = sqlite3_step(stmt);
+        if (rc == SQLITE_BUSY || rc == SQLITE_LOCKED)
+            sqlite3_reset(stmt);
+        return rc;
+    });
+}
+
+sqlite3 *
+openResultsDb(const std::string &path)
+{
+    sqlite3 *db = nullptr;
+    int rc = sqlite3_open(path.c_str(), &db);
+    fatal_if(rc != SQLITE_OK, "cannot open results db '%s': %s",
+             path.c_str(), db ? sqlite3_errmsg(db) : "out of memory");
+    sqlite3_busy_timeout(db, busyTimeoutMs(120000));
+    // WAL lets sweep workers commit without blocking readers; best
+    // effort (a plain rollback journal is correct too).
+    sqliteExecRetry(db, "PRAGMA journal_mode=WAL", nullptr);
+    sqliteExecRetry(db, "PRAGMA synchronous=NORMAL", nullptr);
+    auto exec = [&](const char *sql) {
+        std::string err;
+        fatal_if(sqliteExecRetry(db, sql, &err) != SQLITE_OK,
+                 "results db '%s': '%s' failed: %s", path.c_str(), sql,
+                 err.c_str());
+    };
+    exec("BEGIN IMMEDIATE");
+    for (const std::string &ddl : schemaStatements())
+        exec(ddl.c_str());
+    exec("COMMIT");
+    return db;
 }
 
 #endif // EMERALD_HAS_SQLITE

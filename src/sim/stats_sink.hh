@@ -32,6 +32,7 @@
 #include <vector>
 
 struct sqlite3;
+struct sqlite3_stmt;
 
 namespace emerald
 {
@@ -101,30 +102,35 @@ std::string sqliteUriPath(const std::string &uri);
 /** True when SqliteSink support was compiled in. */
 bool sqliteSinkAvailable();
 
+/** Current wall-clock time as "YYYY-MM-DDTHH:MM:SSZ" (UTC), the
+ *  timestamp format of every results-store row. */
+std::string isoNow();
+
 /**
- * The sweep results-store DDL, one CREATE TABLE IF NOT EXISTS (or
- * seed INSERT) per statement — shared by SqliteSink and the sweep
- * orchestrator's resume queries so the schema cannot drift.
+ * Open (creating if absent) the sweep results store at @p path: busy
+ * timeout, WAL and synchronous=NORMAL pragmas (best effort), and the
+ * schema created in one transaction. The one opener behind SqliteSink
+ * and sweep::SweepDb; fatal on failure. The busy timeout is the
+ * EMERALD_SQLITE_BUSY_MS environment variable when set (stress tests
+ * shrink it to force the retry path below), else 120 s. This and the
+ * two retry helpers exist in SQLite-enabled builds only.
  */
-const std::vector<std::string> &sweepSchemaStatements();
+sqlite3 *openResultsDb(const std::string &path);
 
 /**
  * sqlite3_exec hardened against writer contention: SQLITE_BUSY /
  * SQLITE_LOCKED results are retried with jittered exponential
- * backoff (the jitter is derived from the connection pointer, not
- * rand(), so simulation determinism is untouched). Returns the final
- * sqlite result code; on error *errOut (when non-null) receives the
- * message. Only meaningful in SQLite-enabled builds.
+ * backoff (supervise::retryBackoffMs, 2 ms doubling to 250 ms; the
+ * jitter is derived from the connection pointer, not rand(), so
+ * simulation determinism is untouched). Returns the final sqlite
+ * result code; on error *errOut (when non-null) receives the message.
  */
 int sqliteExecRetry(sqlite3 *db, const char *sql,
                     std::string *errOut);
 
-/**
- * Busy-handler timeout for sweep connections: the
- * EMERALD_SQLITE_BUSY_MS environment variable when set (stress tests
- * shrink it to force the sqliteExecRetry path), else @p dfltMs.
- */
-int sqliteBusyTimeoutMs(int dfltMs);
+/** sqlite3_step through the same busy retry as sqliteExecRetry()
+ *  (the statement is reset before each retry). */
+int sqliteStepRetry(sqlite3_stmt *stmt);
 
 } // namespace emerald
 

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -24,10 +25,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-/** Upper bound on one backoff sleep: a supervisor that naps for
- *  minutes between retries is worse than one that gives up. */
-constexpr unsigned backoffCapMs = 30000;
 
 /** Bytes of child log replayed into the failure diagnostic and the
  *  triage bundle. */
@@ -91,21 +88,9 @@ runAttempt(const SupervisorOptions &opts, const ChildSpec &spec,
     fs::remove(markerPath(opts), ec);
     fs::remove(hangReportPath(opts), ec);
 
-    pid_t pid = fork();
-    fatal_if(pid < 0, "supervisor: fork failed for attempt %u",
-             spec.attempt);
-    if (pid == 0) {
-        // Child. Capture stdout+stderr into the per-attempt log so a
-        // crash leaves its last words behind for the triage bundle.
-        std::string log = attemptLogPath(opts, spec.attempt);
-        int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                        0644);
-        if (fd >= 0) {
-            ::dup2(fd, 1);
-            ::dup2(fd, 2);
-            if (fd > 2)
-                ::close(fd);
-        }
+    // The per-attempt log keeps a crash's last words for the triage
+    // bundle.
+    pid_t pid = forkLogged(attemptLogPath(opts, spec.attempt), [&] {
         int rc = child(spec);
         if (rc == 0) {
             // The marker distinguishes a real completion from a child
@@ -113,9 +98,8 @@ runAttempt(const SupervisorOptions &opts, const ChildSpec &spec,
             std::ofstream marker(markerPath(opts), std::ios::trunc);
             marker << "ok\n";
         }
-        std::fflush(nullptr);
-        _exit(rc);
-    }
+        return rc;
+    });
 
     // Parent. The kill-after deadline is a test hook: it injects a
     // mid-run SIGKILL into the first attempt only, so recovery can
@@ -135,49 +119,6 @@ runAttempt(const SupervisorOptions &opts, const ChildSpec &spec,
     while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
     return status;
-}
-
-FailureRecord
-classifyFailure(const SupervisorOptions &opts, unsigned attempt,
-                int status, bool marker)
-{
-    FailureRecord rec;
-    rec.attempt = attempt;
-    std::error_code ec;
-    bool hangReport = fs::exists(hangReportPath(opts), ec);
-    if (hangReport) {
-        // The watchdog got its report out before the process died:
-        // trust it over the raw wait status (abort mode ends in
-        // panic(), which looks like a plain crash from out here).
-        rec.cls = FailureClass::Hang;
-        rec.detail = "watchdog hang report at " + hangReportPath(opts);
-        if (WIFSIGNALED(status))
-            rec.signal = WTERMSIG(status);
-        else if (WIFEXITED(status))
-            rec.exitCode = WEXITSTATUS(status);
-        return rec;
-    }
-    if (WIFSIGNALED(status)) {
-        rec.signal = WTERMSIG(status);
-        if (rec.signal == SIGKILL) {
-            rec.cls = FailureClass::OomKilled;
-            rec.detail = "SIGKILL (oom killer or external kill)";
-        } else {
-            rec.cls = FailureClass::Crash;
-            rec.detail = strprintf("terminated by signal %d",
-                                   rec.signal);
-        }
-        return rec;
-    }
-    rec.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    if (rec.exitCode == 0 && !marker) {
-        rec.cls = FailureClass::SpuriousExit;
-        rec.detail = "exit 0 without completion marker";
-    } else {
-        rec.cls = FailureClass::Crash;
-        rec.detail = strprintf("exit code %d", rec.exitCode);
-    }
-    return rec;
 }
 
 void
@@ -262,6 +203,68 @@ writeTriageBundle(const SupervisorOptions &opts, unsigned lastAttempt)
 }
 
 } // namespace
+
+FailureRecord
+classifyExit(int status, const std::string &hangReport, bool marker)
+{
+    FailureRecord rec;
+    if (WIFSIGNALED(status))
+        rec.signal = WTERMSIG(status);
+    else if (WIFEXITED(status))
+        rec.exitCode = WEXITSTATUS(status);
+    std::error_code ec;
+    if (fs::exists(hangReport, ec)) {
+        // The watchdog got its report out before the process died:
+        // trust it over the raw wait status (abort mode ends in
+        // panic(), which looks like a plain crash from out here).
+        rec.cls = FailureClass::Hang;
+        rec.detail = "watchdog hang report at " + hangReport;
+    } else if (rec.signal == SIGKILL) {
+        rec.cls = FailureClass::OomKilled;
+        rec.detail = "SIGKILL (oom killer or external kill)";
+    } else if (rec.signal) {
+        rec.cls = FailureClass::Crash;
+        rec.detail = strprintf("terminated by signal %d", rec.signal);
+    } else if (rec.exitCode == 0 && !marker) {
+        rec.cls = FailureClass::SpuriousExit;
+        rec.detail = "exit 0 without completion marker";
+    } else {
+        rec.cls = FailureClass::Crash;
+        rec.detail = strprintf("exit code %d", rec.exitCode);
+    }
+    return rec;
+}
+
+unsigned
+retryBackoffMs(unsigned baseMs, unsigned retry, unsigned capMs)
+{
+    std::uint64_t ms = baseMs;
+    for (unsigned i = 0; i < retry && ms != 0 && ms < capMs; ++i)
+        ms *= 2;
+    return static_cast<unsigned>(std::min<std::uint64_t>(ms, capMs));
+}
+
+pid_t
+forkLogged(const std::string &logPath, const std::function<int()> &body)
+{
+    // Flush first, or the child inherits (and later writes out) the
+    // parent's buffered output.
+    std::fflush(nullptr);
+    pid_t pid = ::fork();
+    fatal_if(pid < 0, "fork failed: %s", std::strerror(errno));
+    if (pid > 0)
+        return pid;
+    int fd = ::open(logPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd >= 0) {
+        ::dup2(fd, STDOUT_FILENO);
+        ::dup2(fd, STDERR_FILENO);
+        if (fd > STDERR_FILENO)
+            ::close(fd);
+    }
+    int rc = body();
+    std::fflush(nullptr);
+    _exit(rc);
+}
 
 const char *
 failureClassName(FailureClass cls)
@@ -380,7 +383,8 @@ superviseRun(const SupervisorOptions &opts,
         }
 
         FailureRecord rec =
-            classifyFailure(opts, attempt, status, marker);
+            classifyExit(status, hangReportPath(opts), marker);
+        rec.attempt = attempt;
         result.finalExitCode =
             WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 
@@ -413,8 +417,8 @@ superviseRun(const SupervisorOptions &opts,
 
         if (attempt == opts.maxRetries)
             break;
-        unsigned backoffMs = std::min<unsigned>(
-            backoffCapMs, opts.backoffBaseMs << attempt);
+        unsigned backoffMs =
+            retryBackoffMs(opts.backoffBaseMs, attempt, backoffCapMs);
         if (backoffMs > 0) {
             inform("supervisor: retrying in %u ms (attempt %u/%u)",
                    backoffMs, attempt + 1, opts.maxRetries);

@@ -27,10 +27,16 @@
  * the supervisor works identically under the bench front end and in
  * unit tests. Supervision off means none of this code runs — the
  * scenario executes in-process exactly as before.
+ *
+ * The classifier, backoff schedule and child launcher declared here
+ * are the whole run-failure policy: the sweep orchestrator
+ * (src/sweep/) calls the same three per design point.
  */
 
 #ifndef EMERALD_SIM_SUPERVISE_SUPERVISOR_HH
 #define EMERALD_SIM_SUPERVISE_SUPERVISOR_HH
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <functional>
@@ -76,6 +82,39 @@ struct FailureRecord
     std::string detail;
 };
 
+/**
+ * Classify a child that did not succeed: the one mapping from a wait
+ * status onto the taxonomy above, shared by the supervisor and the
+ * sweep orchestrator. An existing @p hangReport file (the path passed
+ * to the child as --hang-report-path) means Hang, whatever the wait
+ * status says. @p marker says whether the child's completion journal
+ * exists (the supervisor's done.marker; a sweep child's journal is
+ * its DB commit, so the orchestrator passes true): exit 0 without it
+ * is SpuriousExit. The caller fills in attempt and recoveredFromTick.
+ */
+FailureRecord classifyExit(int waitStatus, const std::string &hangReport,
+                           bool marker);
+
+/** Upper bound on one retry backoff: a supervisor that naps for
+ *  minutes between retries is worse than one that gives up. */
+constexpr unsigned backoffCapMs = 30000;
+
+/**
+ * Backoff before retry @p retry (0 = the first retry): @p baseMs
+ * doubled @p retry times, saturating at @p capMs. The one backoff
+ * schedule for run retries, sweep-point retries and SQLite busy
+ * retries; it never shifts, so no retry count can wrap it.
+ */
+unsigned retryBackoffMs(unsigned baseMs, unsigned retry, unsigned capMs);
+
+/**
+ * Fork a child that sends its stdout and stderr to @p logPath
+ * (truncated) and exits with body()'s return value. Returns the
+ * child's pid; fatal when fork fails.
+ */
+pid_t forkLogged(const std::string &logPath,
+                 const std::function<int()> &body);
+
 struct SupervisorOptions
 {
     /** Attempt logs, hang reports, marker and triage bundle land
@@ -88,7 +127,8 @@ struct SupervisorOptions
     std::string ckptDir;
     /** Retries after the first attempt (so maxRetries+1 attempts). */
     unsigned maxRetries = 3;
-    /** First retry waits this long; doubles per retry. */
+    /** First retry waits this long; doubles per retry up to
+     *  backoffCapMs. */
     unsigned backoffBaseMs = 200;
     /** SIGKILL the child after this much wall time, 0 = never.
      *  (Primarily a test hook for injecting mid-run kills.) */

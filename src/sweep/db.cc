@@ -1,9 +1,5 @@
 #include "sweep/db.hh"
 
-#include <unistd.h>
-
-#include <ctime>
-
 #include "sim/logging.hh"
 #include "sim/stats_sink.hh"
 
@@ -28,30 +24,7 @@ sweepDbAvailable()
 
 #ifdef EMERALD_HAS_SQLITE
 
-SweepDb::SweepDb(const std::string &path)
-{
-    int rc = sqlite3_open(path.c_str(), &_db);
-    fatal_if(rc != SQLITE_OK, "cannot open sweep db '%s': %s",
-             path.c_str(),
-             _db ? sqlite3_errmsg(_db) : "out of memory");
-    sqlite3_busy_timeout(_db, sqliteBusyTimeoutMs(120000));
-    // Best-effort pragmas; children set the same ones.
-    sqlite3_exec(_db, "PRAGMA journal_mode=WAL", nullptr, nullptr,
-                 nullptr);
-    sqlite3_exec(_db, "PRAGMA synchronous=NORMAL", nullptr, nullptr,
-                 nullptr);
-
-    auto exec = [&](const char *sql) {
-        std::string err;
-        int erc = sqliteExecRetry(_db, sql, &err);
-        fatal_if(erc != SQLITE_OK, "sweep db '%s': %s (%s)",
-                 path.c_str(), err.c_str(), sql);
-    };
-    exec("BEGIN IMMEDIATE");
-    for (const std::string &ddl : sweepSchemaStatements())
-        exec(ddl.c_str());
-    exec("COMMIT");
-}
+SweepDb::SweepDb(const std::string &path) : _db(openResultsDb(path)) {}
 
 SweepDb::~SweepDb()
 {
@@ -116,53 +89,17 @@ SweepDb::setMeta(const std::string &key, const std::string &value)
              sqlite3_errmsg(_db));
     sqlite3_bind_text(stmt, 1, key.c_str(), -1, SQLITE_TRANSIENT);
     sqlite3_bind_text(stmt, 2, value.c_str(), -1, SQLITE_TRANSIENT);
-    rc = sqlite3_step(stmt);
+    rc = sqliteStepRetry(stmt);
     sqlite3_finalize(stmt);
     fatal_if(rc != SQLITE_DONE, "sweep db write failed: %s",
              sqlite3_errmsg(_db));
 }
 
-namespace
-{
-
-/** ISO-8601 UTC now, matching SqliteSink's finished_at format. */
-std::string
-isoNowUtc()
-{
-    std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    gmtime_r(&now, &tm_utc);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-    return buf;
-}
-
-/** sqlite3_step with a short busy-retry (the busy handler already
- *  waited; this absorbs the immediate-BUSY deadlock-avoidance case). */
-int
-stepRetry(sqlite3 *stmt_db, sqlite3_stmt *stmt)
-{
-    int rc = SQLITE_OK;
-    for (int attempt = 0; attempt < 12; ++attempt) {
-        rc = sqlite3_step(stmt);
-        if (rc != SQLITE_BUSY && rc != SQLITE_LOCKED)
-            return rc;
-        sqlite3_reset(stmt);
-        (void)stmt_db;
-        ::usleep(2000u << (attempt < 7 ? attempt : 7));
-    }
-    return rc;
-}
-
-} // namespace
-
 void
 SweepDb::recordFailure(const std::string &bench,
                        const std::string &fingerprint,
-                       const std::string &gitSha, unsigned attempt,
-                       const std::string &cls, int signal,
-                       int exitCode, std::uint64_t recoveredTick,
-                       const std::string &detail)
+                       const std::string &gitSha,
+                       const supervise::FailureRecord &failure)
 {
     sqlite3_stmt *stmt = nullptr;
     int rc = sqlite3_prepare_v2(
@@ -173,20 +110,22 @@ SweepDb::recordFailure(const std::string &bench,
         -1, &stmt, nullptr);
     fatal_if(rc != SQLITE_OK, "sweep db write failed: %s",
              sqlite3_errmsg(_db));
-    std::string now = isoNowUtc();
+    std::string now = isoNow();
     sqlite3_bind_text(stmt, 1, bench.c_str(), -1, SQLITE_TRANSIENT);
     sqlite3_bind_text(stmt, 2, fingerprint.c_str(), -1,
                       SQLITE_TRANSIENT);
     sqlite3_bind_text(stmt, 3, gitSha.c_str(), -1, SQLITE_TRANSIENT);
-    sqlite3_bind_int64(stmt, 4, attempt);
-    sqlite3_bind_text(stmt, 5, cls.c_str(), -1, SQLITE_TRANSIENT);
-    sqlite3_bind_int(stmt, 6, signal);
-    sqlite3_bind_int(stmt, 7, exitCode);
-    sqlite3_bind_int64(stmt, 8,
-                       static_cast<sqlite3_int64>(recoveredTick));
-    sqlite3_bind_text(stmt, 9, detail.c_str(), -1, SQLITE_TRANSIENT);
+    sqlite3_bind_int64(stmt, 4, failure.attempt);
+    sqlite3_bind_text(stmt, 5, supervise::failureClassName(failure.cls),
+                      -1, SQLITE_STATIC);
+    sqlite3_bind_int(stmt, 6, failure.signal);
+    sqlite3_bind_int(stmt, 7, failure.exitCode);
+    sqlite3_bind_int64(
+        stmt, 8, static_cast<sqlite3_int64>(failure.recoveredFromTick));
+    sqlite3_bind_text(stmt, 9, failure.detail.c_str(), -1,
+                      SQLITE_TRANSIENT);
     sqlite3_bind_text(stmt, 10, now.c_str(), -1, SQLITE_TRANSIENT);
-    rc = stepRetry(_db, stmt);
+    rc = sqliteStepRetry(stmt);
     sqlite3_finalize(stmt);
     fatal_if(rc != SQLITE_DONE, "sweep db write failed: %s",
              sqlite3_errmsg(_db));
@@ -237,7 +176,7 @@ SweepDb::setRunStatus(const std::string &bench,
                       SQLITE_TRANSIENT);
     sqlite3_bind_text(stmt, 3, gitSha.c_str(), -1, SQLITE_TRANSIENT);
     sqlite3_bind_text(stmt, 4, status.c_str(), -1, SQLITE_TRANSIENT);
-    rc = stepRetry(_db, stmt);
+    rc = sqliteStepRetry(stmt);
     sqlite3_finalize(stmt);
     fatal_if(rc != SQLITE_DONE, "sweep db write failed: %s",
              sqlite3_errmsg(_db));
@@ -300,9 +239,8 @@ SweepDb::setMeta(const std::string &, const std::string &)
 
 void
 SweepDb::recordFailure(const std::string &, const std::string &,
-                       const std::string &, unsigned,
-                       const std::string &, int, int, std::uint64_t,
-                       const std::string &)
+                       const std::string &,
+                       const supervise::FailureRecord &)
 {
 }
 

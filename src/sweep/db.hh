@@ -3,17 +3,18 @@
  * Orchestrator-side view of the sweep results store. The children
  * (emerald_bench --stats-out=sqlite:...) write runs; the orchestrator
  * only reads completion state and records sweep-level metadata. Both
- * sides create the schema from the shared sweepSchemaStatements(), so
- * whichever process touches the DB first wins and the other finds the
- * tables already in place.
+ * sides open the store through openResultsDb() (sim/stats_sink.hh),
+ * so whichever process touches the DB first creates the schema and
+ * the other finds the tables already in place.
  */
 
 #ifndef EMERALD_SWEEP_DB_HH
 #define EMERALD_SWEEP_DB_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "sim/supervise/supervisor.hh"
 
 struct sqlite3;
 
@@ -49,19 +50,12 @@ class SweepDb
     /** Insert or overwrite a sweep_meta value. */
     void setMeta(const std::string &key, const std::string &value);
 
-    /**
-     * Record one classified point failure (docs/resilience.md) in
-     * run_failures. @p cls is a failureClassName() string; @p signal
-     * 0 when none; @p exitCode -1 when the child did not exit
-     * normally; @p recoveredTick the checkpoint tick the retry
-     * resumed from (0 = cold).
-     */
+    /** Record one classified point failure (docs/resilience.md) in
+     *  run_failures. */
     void recordFailure(const std::string &bench,
                        const std::string &fingerprint,
-                       const std::string &gitSha, unsigned attempt,
-                       const std::string &cls, int signal,
-                       int exitCode, std::uint64_t recoveredTick,
-                       const std::string &detail);
+                       const std::string &gitSha,
+                       const supervise::FailureRecord &failure);
 
     /**
      * Failures already recorded for one point — a relaunched

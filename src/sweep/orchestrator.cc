@@ -1,19 +1,18 @@
 #include "sweep/orchestrator.hh"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <thread>
 
 #include "sim/logging.hh"
+#include "sim/supervise/supervisor.hh"
 #include "sweep/db.hh"
 
 namespace emerald
@@ -35,41 +34,6 @@ makeDirs(const std::string &path)
                   std::strerror(errno));
     }
 }
-
-namespace
-{
-
-/** Fork one child for @p point; returns its pid. */
-pid_t
-launchPoint(const std::vector<std::string> &command,
-            const std::string &logPath)
-{
-    pid_t pid = ::fork();
-    fatal_if(pid < 0, "fork failed: %s", std::strerror(errno));
-    if (pid > 0)
-        return pid;
-
-    // Child: stdout+stderr to the per-point log, then exec. Only
-    // async-signal-safe calls from here on.
-    int fd = ::open(logPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    if (fd >= 0) {
-        ::dup2(fd, STDOUT_FILENO);
-        ::dup2(fd, STDERR_FILENO);
-        if (fd > STDERR_FILENO)
-            ::close(fd);
-    }
-    std::vector<char *> argv;
-    argv.reserve(command.size() + 1);
-    for (const std::string &arg : command)
-        argv.push_back(const_cast<char *>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    // exec failed; the parent sees exit 127 like a shell would.
-    _exit(127);
-}
-
-} // namespace
 
 std::vector<std::string>
 pointCommand(const SweepSpec &spec, const SweepPoint &point,
@@ -108,17 +72,6 @@ struct PointState
     bool finished = false;
 };
 
-/** Classify one dead sweep child (docs/resilience.md taxonomy). */
-std::string
-classifyPointFailure(int status, bool hangReport)
-{
-    if (hangReport)
-        return "hang";
-    if (WIFSIGNALED(status))
-        return WTERMSIG(status) == SIGKILL ? "oom-killed" : "crash";
-    return "crash";
-}
-
 } // namespace
 
 SweepReport
@@ -156,6 +109,27 @@ runSweep(const SweepSpec &spec,
 
     std::vector<PointState> states(pending.size());
     std::size_t finished = 0;
+    // Quarantine @p st once its failures exceed the budget; false
+    // while it still has retries left.
+    auto quarantineIfExhausted = [&](PointState &st) {
+        if (st.failures <= opts.maxRetries)
+            return false;
+        const std::string &fp = st.point->fingerprintHex;
+        if (opts.db) {
+            opts.db->setRunStatus(spec.scenario, fp, opts.gitSha,
+                                  "quarantined");
+        }
+        st.finished = true;
+        ++finished;
+        ++report.failed;
+        ++report.quarantined;
+        warn("sweep point %s: %u failure(s), retry budget exhausted "
+             "— quarantined",
+             fp.c_str(), st.failures);
+        inform("sweep: [%zu/%zu] %s QUARANTINED", finished,
+               states.size(), fp.c_str());
+        return true;
+    };
     for (std::size_t i = 0; i < pending.size(); ++i) {
         states[i].point = &pending[i];
         if (opts.db) {
@@ -163,25 +137,10 @@ runSweep(const SweepSpec &spec,
                 spec.scenario, pending[i].fingerprintHex,
                 opts.gitSha);
         }
-        if (states[i].failures > opts.maxRetries) {
-            // The budget was exhausted in a previous launch (the
-            // orchestrator died before, or while, quarantining):
-            // finish the quarantine instead of retrying forever
-            // across relaunches.
-            if (opts.db) {
-                opts.db->setRunStatus(spec.scenario,
-                                      pending[i].fingerprintHex,
-                                      opts.gitSha, "quarantined");
-            }
-            warn("sweep point %s: retry budget already exhausted "
-                 "(%u failures on record) — quarantined",
-                 pending[i].fingerprintHex.c_str(),
-                 states[i].failures);
-            states[i].finished = true;
-            ++finished;
-            ++report.failed;
-            ++report.quarantined;
-        }
+        // A budget exhausted in a previous launch (the orchestrator
+        // died before, or while, quarantining) finishes its
+        // quarantine instead of retrying forever across relaunches.
+        quarantineIfExhausted(states[i]);
     }
 
     // Dispatch loop: keep up to `jobs` children in flight; whenever
@@ -213,7 +172,17 @@ runSweep(const SweepSpec &spec,
                 pointCommand(spec, point, opts);
             command.push_back("--hang-report-path=" +
                               hangReportPath(point));
-            running[launchPoint(command, logPath)] = i;
+            std::vector<char *> argv;
+            for (std::string &arg : command)
+                argv.push_back(arg.data());
+            argv.push_back(nullptr);
+            pid_t pid = supervise::forkLogged(logPath, [&] {
+                ::execv(argv[0], argv.data());
+                // exec failed; the parent sees exit 127 like a shell
+                // would.
+                return 127;
+            });
+            running[pid] = i;
         }
 
         if (running.empty()) {
@@ -253,54 +222,31 @@ runSweep(const SweepSpec &spec,
             continue;
         }
 
-        bool hangReport =
-            ::access(hangReportPath(point).c_str(), F_OK) == 0;
-        std::string cls = classifyPointFailure(status, hangReport);
-        int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-        int exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-        std::string detail =
-            sig ? strprintf("terminated by signal %d", sig)
-                : strprintf("exit code %d", exitCode);
-        if (hangReport)
-            detail += "; hang report " + hangReportPath(point);
+        // A sweep child's completion journal is its DB commit, so
+        // there is no marker to miss.
+        supervise::FailureRecord rec =
+            supervise::classifyExit(status, hangReportPath(point),
+                                    /*marker=*/true);
+        rec.attempt = st.failures++;
         warn("sweep point %s failed (%s: %s; log: %s/%s.log)",
-             point.fingerprintHex.c_str(), cls.c_str(),
-             detail.c_str(), logDir.c_str(),
-             point.fingerprintHex.c_str());
-
-        unsigned attempt = st.failures++;
+             point.fingerprintHex.c_str(),
+             supervise::failureClassName(rec.cls), rec.detail.c_str(),
+             logDir.c_str(), point.fingerprintHex.c_str());
         if (opts.db) {
             opts.db->recordFailure(spec.scenario,
                                    point.fingerprintHex, opts.gitSha,
-                                   attempt, cls, sig, exitCode,
-                                   /*recoveredTick=*/0, detail);
+                                   rec);
         }
-
-        if (st.failures > opts.maxRetries) {
-            if (opts.db) {
-                opts.db->setRunStatus(spec.scenario,
-                                      point.fingerprintHex,
-                                      opts.gitSha, "quarantined");
-            }
-            warn("sweep point %s: %u failure(s), budget exhausted — "
-                 "quarantined",
-                 point.fingerprintHex.c_str(), st.failures);
-            st.finished = true;
-            ++finished;
-            ++report.failed;
-            ++report.quarantined;
-            inform("sweep: [%zu/%zu] %s QUARANTINED", finished,
-                   states.size(), point.fingerprintHex.c_str());
+        if (quarantineIfExhausted(st))
             continue;
-        }
 
         if (opts.db) {
             opts.db->setRunStatus(spec.scenario, point.fingerprintHex,
                                   opts.gitSha, "retrying");
         }
-        unsigned backoffMs =
-            opts.backoffBaseMs << (st.failures > 1 ? st.failures - 1
-                                                   : 0);
+        unsigned backoffMs = supervise::retryBackoffMs(
+            opts.backoffBaseMs, st.failures - 1,
+            supervise::backoffCapMs);
         st.eligibleAt =
             Clock::now() + std::chrono::milliseconds(backoffMs);
         ++report.retried;

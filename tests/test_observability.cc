@@ -611,13 +611,13 @@ TEST(EventQueueCompaction, RunUntilSurvivesCompactionMidRun)
 
 TEST(ConfigParse, SupportsEqualsSpaceAndBareFlagForms)
 {
-    const char *argv[] = {"prog",       "--width=640", "--stats-json",
+    const char *argv[] = {"prog",       "--width=640", "--stats-out",
                           "out.json",   "--profile",   "--frames",
                           "3"};
     Config cfg;
     cfg.parseArgs(7, const_cast<char **>(argv));
     EXPECT_EQ(cfg.getInt("width", 0), 640);
-    EXPECT_EQ(cfg.getString("stats-json", ""), "out.json");
+    EXPECT_EQ(cfg.getString("stats-out", ""), "out.json");
     EXPECT_TRUE(cfg.getBool("profile", false));
     EXPECT_EQ(cfg.getInt("frames", 0), 3);
 }

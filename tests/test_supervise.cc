@@ -3,8 +3,9 @@
  * Run-supervisor tests (src/sim/supervise/): failure classification
  * from real forked children (SIGKILL, spurious exit, hang report),
  * checkpoint-directory scanning with corrupt rotations skipped, the
- * retry/backoff loop, the deterministic-failure give-up with its
- * triage bundle, and the supervisor.json summary.
+ * retry/backoff loop and its saturating schedule, the
+ * deterministic-failure give-up with its triage bundle, and the
+ * supervisor.json summary.
  */
 
 #include <gtest/gtest.h>
@@ -83,6 +84,25 @@ TEST(SuperviseClassify, StableFailureClassNames)
                  "oom-killed");
     EXPECT_STREQ(failureClassName(FailureClass::SpuriousExit),
                  "spurious-exit");
+}
+
+TEST(SuperviseBackoff, DoublesAndSaturatesAtTheCap)
+{
+    using supervise::backoffCapMs;
+    using supervise::retryBackoffMs;
+    unsigned prev = 0;
+    for (unsigned retry = 0; retry <= 64; ++retry) {
+        unsigned ms = retryBackoffMs(200, retry, backoffCapMs);
+        EXPECT_GE(ms, prev) << "retry " << retry;
+        EXPECT_LE(ms, backoffCapMs) << "retry " << retry;
+        prev = ms;
+    }
+    EXPECT_EQ(retryBackoffMs(200, 0, backoffCapMs), 200u);
+    EXPECT_EQ(retryBackoffMs(200, 2, backoffCapMs), 800u);
+    // `200 << 29` wraps to 0 in 32 bits.
+    EXPECT_NE(retryBackoffMs(200, 29, backoffCapMs), 0u);
+    EXPECT_EQ(retryBackoffMs(2, 100, 250), 250u);
+    EXPECT_EQ(retryBackoffMs(0, 40, 250), 0u);
 }
 
 TEST(Supervise, CleanFirstAttemptIsOneAttemptNoFailures)

@@ -3,17 +3,21 @@
  * Sweep driver tests: grid expansion, point fingerprints, the resume
  * computation, the manifest, the stats sinks (URI dispatch, legacy
  * JSON byte-compatibility) and — when SQLite is compiled in — the
- * results-store round trip the orchestrator's journal rests on.
+ * results-store round trip the orchestrator's journal rests on and
+ * the orchestrator's classify/retry/quarantine path.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "sim/config.hh"
@@ -465,6 +469,15 @@ TEST(StatsSinkSqlite, RoundTripsRunParamsAndStats)
 // Failure journal + run status (the retry/quarantine ledger).
 // ------------------------------------------------------------------
 
+supervise::FailureRecord
+failure(supervise::FailureClass cls, unsigned attempt)
+{
+    supervise::FailureRecord rec;
+    rec.cls = cls;
+    rec.attempt = attempt;
+    return rec;
+}
+
 TEST(SweepDbFailures, RecordsCountsAndStatusRoundTrip)
 {
     ASSERT_TRUE(sweepDbAvailable());
@@ -475,14 +488,15 @@ TEST(SweepDbFailures, RecordsCountsAndStatusRoundTrip)
     EXPECT_EQ(db.failureCount("soc_point", "fp1", "sha"), 0u);
     EXPECT_EQ(db.runStatus("soc_point", "fp1", "sha"), "");
 
-    db.recordFailure("soc_point", "fp1", "sha", 0, "crash", 0, 42, 0,
-                     "exit code 42");
-    db.recordFailure("soc_point", "fp1", "sha", 1, "oom-killed", 9,
-                     -1, 12345, "terminated by signal 9");
+    using supervise::FailureClass;
+    db.recordFailure("soc_point", "fp1", "sha",
+                     failure(FailureClass::Crash, 0));
+    db.recordFailure("soc_point", "fp1", "sha",
+                     failure(FailureClass::OomKilled, 1));
     // Corrupt-checkpoint records are informational: they must not
     // consume the point's retry budget.
-    db.recordFailure("soc_point", "fp1", "sha", 1, "ckpt-corrupt", 0,
-                     -1, 0, "crc-mismatch in rotation");
+    db.recordFailure("soc_point", "fp1", "sha",
+                     failure(FailureClass::CkptCorrupt, 1));
 
     EXPECT_EQ(db.failureCount("soc_point", "fp1", "sha"), 2u);
     EXPECT_EQ(db.failureCount("soc_point", "fp2", "sha"), 0u);
@@ -521,8 +535,9 @@ TEST(SweepDbFailures, ConcurrentWritersRetryThroughContention)
             SweepDb db(path);
             std::string fp = "fp" + std::to_string(w);
             for (int i = 0; i < kEach; ++i) {
-                db.recordFailure("bench", fp, "sha", i, "crash", 0, 1,
-                                 0, "contention probe");
+                db.recordFailure(
+                    "bench", fp, "sha",
+                    failure(supervise::FailureClass::Crash, i));
             }
             db.setRunStatus("bench", fp, "sha", "retrying");
             ::_exit(0);
@@ -545,6 +560,122 @@ TEST(SweepDbFailures, ConcurrentWritersRetryThroughContention)
                   static_cast<unsigned>(kEach));
         EXPECT_EQ(db.runStatus("bench", fp, "sha"), "retrying");
     }
+}
+
+// ------------------------------------------------------------------
+// The orchestrator's retry path, driven by a fake bench.
+// ------------------------------------------------------------------
+
+/** Classes in run_failures for one point, oldest first. */
+std::vector<std::string>
+failureClasses(const std::string &path, const std::string &fp)
+{
+    sqlite3 *db = nullptr;
+    EXPECT_EQ(sqlite3_open(path.c_str(), &db), SQLITE_OK);
+    sqlite3_stmt *stmt = nullptr;
+    EXPECT_EQ(sqlite3_prepare_v2(
+                  db,
+                  "SELECT class FROM run_failures WHERE fingerprint = ? "
+                  "ORDER BY failure_id",
+                  -1, &stmt, nullptr),
+              SQLITE_OK);
+    sqlite3_bind_text(stmt, 1, fp.c_str(), -1, SQLITE_TRANSIENT);
+    std::vector<std::string> classes;
+    while (sqlite3_step(stmt) == SQLITE_ROW) {
+        classes.emplace_back(reinterpret_cast<const char *>(
+            sqlite3_column_text(stmt, 0)));
+    }
+    sqlite3_finalize(stmt);
+    sqlite3_close(db);
+    return classes;
+}
+
+TEST(SweepOrchestrator, ClassifiesRetriesAndQuarantinesFailingPoints)
+{
+    std::string dir = tempPath("orchestrator");
+    std::filesystem::remove_all(dir);
+    makeDirs(dir);
+
+    // A stand-in for emerald_bench: --mode picks how it dies, and
+    // every launch bumps a per-mode counter.
+    std::string bench = dir + "/fake_bench.sh";
+    {
+        std::ofstream os(bench);
+        os << "#!/bin/sh\n"
+           << "dir='" << dir << "'\n"
+           << R"(for arg in "$@"; do
+  case "$arg" in
+    --mode=*) mode="${arg#--mode=}" ;;
+    --hang-report-path=*) report="${arg#--hang-report-path=}" ;;
+  esac
+done
+n=$(( $(cat "$dir/$mode.launches" 2>/dev/null || echo 0) + 1 ))
+echo "$n" > "$dir/$mode.launches"
+case "$mode" in
+  killonce) [ "$n" -gt 1 ] || kill -9 $$ ;;
+  crash) exit 3 ;;
+  hang) echo '{"kind": "hang"}' > "$report"; exit 1 ;;
+esac
+exit 0
+)";
+    }
+    ASSERT_EQ(::chmod(bench.c_str(), 0755), 0);
+    auto launches = [&](const std::string &mode) {
+        return std::atoi(readFile(dir + "/" + mode + ".launches").c_str());
+    };
+
+    SweepSpec spec = parseSweepSpec("scenario = fake\n"
+                                    "axis.mode = killonce,crash,hang\n");
+    std::vector<SweepPoint> points = expandGrid(spec);
+    ASSERT_EQ(points.size(), 3u);
+    std::map<std::string, std::string> fp;
+    for (const SweepPoint &point : points)
+        fp[point.params.at(0).second] = point.fingerprintHex;
+
+    std::string dbPath = dir + "/sweep.db";
+    SweepDb db(dbPath);
+    OrchestratorOptions opts;
+    opts.benchBin = bench;
+    opts.dbPath = dbPath;
+    opts.outDir = dir;
+    opts.gitSha = "sha";
+    opts.jobs = 2;
+    opts.maxRetries = 1;
+    opts.backoffBaseMs = 1;
+    opts.db = &db;
+
+    SweepReport report = runSweep(spec, points, opts);
+    EXPECT_EQ(report.succeeded, 1u);
+    EXPECT_EQ(report.failed, 2u);
+    EXPECT_EQ(report.quarantined, 2u);
+    EXPECT_EQ(report.retried, 3u);
+
+    // SIGKILL once: one oom-killed row, then a successful retry.
+    EXPECT_EQ(failureClasses(dbPath, fp["killonce"]),
+              std::vector<std::string>{"oom-killed"});
+    EXPECT_EQ(launches("killonce"), 2);
+    // Nonzero exit every time: the budget runs out.
+    EXPECT_EQ(failureClasses(dbPath, fp["crash"]),
+              (std::vector<std::string>{"crash", "crash"}));
+    EXPECT_EQ(db.runStatus("fake", fp["crash"], "sha"), "quarantined");
+    // A written hang report trumps the exit code.
+    EXPECT_EQ(failureClasses(dbPath, fp["hang"]),
+              (std::vector<std::string>{"hang", "hang"}));
+    EXPECT_EQ(db.runStatus("fake", fp["hang"], "sha"), "quarantined");
+
+    // Relaunch with the points that never succeeded (the fake commits
+    // nothing, so this is the resume set by hand): the spent budgets
+    // are read back from the DB and nothing is launched again.
+    std::vector<SweepPoint> unfinished;
+    for (const SweepPoint &point : points)
+        if (point.fingerprintHex != fp["killonce"])
+            unfinished.push_back(point);
+    SweepReport again = runSweep(spec, unfinished, opts);
+    EXPECT_EQ(again.quarantined, 2u);
+    EXPECT_EQ(again.succeeded, 0u);
+    EXPECT_EQ(launches("crash"), 2);
+    EXPECT_EQ(launches("hang"), 2);
+    EXPECT_EQ(failureClasses(dbPath, fp["crash"]).size(), 2u);
 }
 
 #endif // EMERALD_HAS_SQLITE

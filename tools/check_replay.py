@@ -2,10 +2,11 @@
 """Trace-replay gate: the replayed figure must keep the
 execution-driven shape, measurably faster.
 
-Both inputs are --stats-json files written by a bench (BenchResults
-format: {"bench": ..., "results": {...}, "sim": {...}}). The exec run
-executed shaders end to end (typically while writing a traffic trace
-with --capture-trace); the replay run re-drove the memory system from
+Both inputs are --stats-out JSON files written by a bench
+(BenchResults format: {"bench": ..., "results": {...}, "sim": {...}},
+read by check_restore.py's shared loader). The exec run executed
+shaders end to end (typically while writing a traffic trace with
+--capture-trace); the replay run re-drove the memory system from
 that trace with --replay-trace (docs/scheduling.md). Replay is a
 timing approximation — the recorded traffic does not adapt to the
 swept memory configuration — so unlike check_restore.py this gate
@@ -23,32 +24,21 @@ Usage: check_replay.py exec.json replay.json [--tolerance 0.25]
 """
 
 import argparse
-import json
 import sys
+
+from check_restore import load_results
 
 NORM_SUFFIX = "_norm"
 WALL_SUFFIX = ".wall_ms"
 
 
-def load_results(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        sys.exit(f"check_replay: cannot read '{path}': {err}")
-    results = doc.get("results")
-    if not isinstance(results, dict):
-        sys.exit(f"check_replay: '{path}' has no results object — "
-                 "was the bench run with --stats-json?")
-    return results
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("exec_json",
-                        help="stats-json of the execution-driven run")
+                        help="stats-out JSON of the execution-driven "
+                             "run")
     parser.add_argument("replay_json",
-                        help="stats-json of the replayed run")
+                        help="stats-out JSON of the replayed run")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="max absolute delta per *_norm result "
                              "(default 0.25; quick-run deltas measure "
@@ -68,7 +58,7 @@ def main(argv=None):
 
     if not exe_norms:
         sys.exit("check_replay: no *_norm results in the exec run — "
-                 "is this a figure bench's --stats-json?")
+                 "is this a figure bench's --stats-out JSON?")
 
     failures = 0
     worst = 0.0

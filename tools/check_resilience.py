@@ -2,8 +2,8 @@
 """Supervised-recovery gate: a run that crashed and recovered from a
 checkpoint must be indistinguishable from one that never crashed.
 
-Inputs are two --stats-json files (BenchResults format) plus the run
-supervisor's summary:
+Inputs are two --stats-out JSON files (BenchResults format) plus the
+run supervisor's summary:
 
   cold        the reference run, executed end to end undisturbed;
   recovered   the supervised run: its first attempt was killed
@@ -21,7 +21,8 @@ Checks:
      recovery that restarted cold because no rotation existed yet);
   2. every `<case>.event_hash` matches the cold run bit for bit —
      the restored determinism verifier resumes the cold hash stream,
-     so any divergence means recovery corrupted state.
+     so any divergence means recovery corrupted state. The comparison
+     is check_restore.py's.
 
 Exit status: 0 when recovery is proven equivalent, 1 otherwise.
 
@@ -32,19 +33,7 @@ import argparse
 import json
 import sys
 
-HASH_SUFFIX = ".event_hash"
-
-
-def hash_keys(results):
-    """Hash-carrying result keys: `<case>.event_hash` from the grid
-    benches, or a bare `event_hash` from single-point scenarios."""
-    return {k: v for k, v in results.items()
-            if k == "event_hash" or k.endswith(HASH_SUFFIX)}
-
-
-def case_of(key):
-    return key[: -len(HASH_SUFFIX)] if key.endswith(HASH_SUFFIX) \
-        else "(run)"
+from check_restore import compare_hashes, load_results
 
 
 def load_json(path, what):
@@ -54,15 +43,6 @@ def load_json(path, what):
     except (OSError, json.JSONDecodeError) as err:
         sys.exit(f"check_resilience: cannot read {what} '{path}': "
                  f"{err}")
-
-
-def load_results(path):
-    doc = load_json(path, "stats-json")
-    results = doc.get("results")
-    if not isinstance(results, dict):
-        sys.exit(f"check_resilience: '{path}' has no results object "
-                 "— was the bench run with --stats-json?")
-    return results
 
 
 def check_supervisor(path, allow_cold):
@@ -99,9 +79,9 @@ def check_supervisor(path, allow_cold):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("cold", help="stats-json of the cold run")
+    parser.add_argument("cold", help="stats-out JSON of the cold run")
     parser.add_argument("recovered",
-                        help="stats-json of the supervised run")
+                        help="stats-out JSON of the supervised run")
     parser.add_argument("supervisor",
                         help="supervisor.json of the supervised run")
     parser.add_argument("--allow-cold-recovery", action="store_true",
@@ -111,43 +91,17 @@ def main(argv=None):
     failures = check_supervisor(args.supervisor,
                                 args.allow_cold_recovery)
 
-    cold = load_results(args.cold)
-    recovered = load_results(args.recovered)
-    cold_hashes = hash_keys(cold)
-    rec_hashes = hash_keys(recovered)
-    if not cold_hashes:
-        sys.exit("check_resilience: no *.event_hash results in the "
-                 "cold run — pass --check-determinism to the bench")
-
-    for key in sorted(cold_hashes):
-        case = case_of(key)
-        if key not in rec_hashes:
-            print(f"FAIL {case}: missing from the recovered run")
-            failures += 1
-            continue
-        ch, rh = cold_hashes[key], rec_hashes[key]
-        if ch == 0 or rh == 0:
-            print(f"FAIL {case}: hash is zero (determinism check was "
-                  "off in one of the runs)")
-            failures += 1
-        elif ch != rh:
-            print(f"FAIL {case}: cold hash {ch:.0f} != recovered "
-                  f"hash {rh:.0f} — recovery diverged")
-            failures += 1
-        else:
-            print(f"OK   {case}: hash {ch:.0f}")
-
-    for key in sorted(set(rec_hashes) - set(cold_hashes)):
-        print(f"FAIL {case_of(key)}: present only in the "
-              "recovered run")
-        failures += 1
+    hash_failures, cases = compare_hashes(
+        load_results(args.cold), load_results(args.recovered),
+        "recovered", "recovery diverged")
+    failures += hash_failures
 
     if failures:
         print(f"check_resilience: {failures} check(s) failed",
               file=sys.stderr)
         return 1
-    print(f"check_resilience: recovery verified — {len(cold_hashes)} "
-          "case(s) bit-identical to the cold run")
+    print(f"check_resilience: recovery verified — {cases} case(s) "
+          "bit-identical to the cold run")
     return 0
 
 
