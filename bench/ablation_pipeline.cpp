@@ -25,12 +25,13 @@ namespace
 
 /** Render frames of a workload under a custom pipeline config. */
 double
-runConfig(scenes::WorkloadId id, const core::GfxParams &gfx,
-          bool allow_early_z, unsigned frames,
-          std::uint64_t *hiz_rejects = nullptr,
+runConfig(const SimulationBuilder &builder, scenes::WorkloadId id,
+          const core::GfxParams &gfx, bool allow_early_z,
+          unsigned frames, std::uint64_t *hiz_rejects = nullptr,
           double *frags_per_warp = nullptr)
 {
-    soc::StandaloneGpu base(256, 192);
+    soc::StandaloneGpu base(256, 192, soc::caseStudy2GpuParams(),
+                            soc::caseStudy2MemParams(), builder);
     core::GraphicsPipeline pipe(base.sim(), "gfx_ablate", base.gpu(),
                                 256, 192, gfx);
 
@@ -127,9 +128,11 @@ runScenario(int argc, char **argv)
         core::GfxParams off;
         off.hizEnabled = false;
         std::uint64_t rejects = 0;
-        double t_on = runConfig(scenes::WorkloadId::W1_Sibenik, on,
+        double t_on = runConfig(harness.builderFor("hiz.on"),
+                                scenes::WorkloadId::W1_Sibenik, on,
                                 true, frames, &rejects);
-        double t_off = runConfig(scenes::WorkloadId::W1_Sibenik, off,
+        double t_off = runConfig(harness.builderFor("hiz.off"),
+                                 scenes::WorkloadId::W1_Sibenik, off,
                                  true, frames);
         results.record("hiz.on_cycles", t_on);
         results.record("hiz.off_cycles", t_off);
@@ -149,10 +152,12 @@ runScenario(int argc, char **argv)
         weak.tcEnginesPerCluster = 1;
         weak.tcFlushTimeoutCycles = 1;
         double fpw_full = 0, fpw_weak = 0;
-        double t_full = runConfig(scenes::WorkloadId::W4_Suzanne,
+        double t_full = runConfig(harness.builderFor("tc.full"),
+                                  scenes::WorkloadId::W4_Suzanne,
                                   full, true, frames, nullptr,
                                   &fpw_full);
-        double t_weak = runConfig(scenes::WorkloadId::W4_Suzanne,
+        double t_weak = runConfig(harness.builderFor("tc.weak"),
+                                  scenes::WorkloadId::W4_Suzanne,
                                   weak, true, frames, nullptr,
                                   &fpw_weak);
         results.record("tc.full_cycles", t_full);
@@ -168,9 +173,11 @@ runScenario(int argc, char **argv)
     // 3. Early-Z vs forced late-Z.
     {
         core::GfxParams gfx;
-        double t_early = runConfig(scenes::WorkloadId::W6_Teapot, gfx,
+        double t_early = runConfig(harness.builderFor("rop.early"),
+                                   scenes::WorkloadId::W6_Teapot, gfx,
                                    true, frames);
-        double t_late = runConfig(scenes::WorkloadId::W6_Teapot, gfx,
+        double t_late = runConfig(harness.builderFor("rop.late"),
+                                  scenes::WorkloadId::W6_Teapot, gfx,
                                   false, frames);
         results.record("rop.early_cycles", t_early);
         results.record("rop.late_cycles", t_late);

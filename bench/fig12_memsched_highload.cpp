@@ -85,10 +85,8 @@ runScenario(int argc, char **argv)
             results.record(key + ".wall_ms", wall_ms);
             // 53-bit fold of the event-stream hash (exact in JSON):
             // the restore-determinism gate compares cold vs warm.
-            results.record(
-                key + ".event_hash",
-                static_cast<double>(soc.sim().determinismHash() &
-                                    ((1ULL << 53) - 1)));
+            results.record(key + ".event_hash",
+                           eventHashFold(soc.sim()));
         }
         std::printf("%-14s |", scenes::workloadName(model));
         for (std::size_t i = 0; i < 4; ++i) {

@@ -40,8 +40,13 @@ runScenario(int argc, char **argv)
 
     for (scenes::WorkloadId id : workloads) {
         std::vector<double> cycles;
-        for (unsigned wt = 1; wt <= 10; ++wt)
-            cycles.push_back(meanCyclesAtWt(id, wt, fbw, fbh, frames));
+        for (unsigned wt = 1; wt <= 10; ++wt) {
+            cycles.push_back(meanCyclesAtWt(
+                harness,
+                std::string(scenes::workloadName(id)) + ".wt" +
+                    std::to_string(wt),
+                id, wt, fbw, fbh, frames));
+        }
         std::printf("%-18s", scenes::workloadName(id));
         unsigned best = 1;
         for (unsigned wt = 1; wt <= 10; ++wt) {

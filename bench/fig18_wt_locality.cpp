@@ -34,7 +34,10 @@ runScenario(int argc, char **argv)
 
     std::vector<double> time, color, texture, depth;
     for (unsigned wt = 1; wt <= 10; ++wt) {
-        soc::StandaloneGpu rig(fbw, fbh);
+        std::string label = "wt" + std::to_string(wt);
+        soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               harness.builderFor(label));
         scenes::SceneRenderer scene(
             rig.pipeline(),
             scenes::makeWorkload(scenes::WorkloadId::W1_Sibenik),
@@ -53,6 +56,7 @@ runScenario(int argc, char **argv)
         for (unsigned f = 1; f <= frames; ++f)
             cyc += static_cast<double>(
                 renderFrame(rig, scene, f).cycles);
+        harness.recordEventHash(label, rig.sim());
         time.push_back(cyc / frames);
         color.push_back(
             (static_cast<double>(

@@ -18,23 +18,6 @@ using namespace emerald::bench;
 namespace
 {
 
-/** Mean cycles over an animated frame sequence at a fixed WT. */
-double
-staticRun(scenes::WorkloadId id, unsigned wt, unsigned fbw,
-          unsigned fbh, unsigned frames)
-{
-    soc::StandaloneGpu rig(fbw, fbh);
-    scenes::SceneRenderer scene(rig.pipeline(),
-                                scenes::makeWorkload(id),
-                                rig.functionalMemory());
-    rig.pipeline().setWtSize(wt);
-    renderFrame(rig, scene, 0); // Warm-up.
-    double sum = 0;
-    for (unsigned f = 1; f <= frames; ++f)
-        sum += static_cast<double>(renderFrame(rig, scene, f).cycles);
-    return sum / frames;
-}
-
 /** Mean cycles with the DFSL controller driving the WT choice. */
 struct DfslResult
 {
@@ -43,10 +26,13 @@ struct DfslResult
 };
 
 DfslResult
-dfslRun(scenes::WorkloadId id, unsigned fbw, unsigned fbh,
+dfslRun(const BenchHarness &harness, const std::string &label,
+        scenes::WorkloadId id, unsigned fbw, unsigned fbh,
         unsigned run_frames, unsigned max_wt)
 {
-    soc::StandaloneGpu rig(fbw, fbh);
+    soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(),
+                           harness.builderFor(label));
     scenes::SceneRenderer scene(rig.pipeline(),
                                 scenes::makeWorkload(id),
                                 rig.functionalMemory());
@@ -71,6 +57,7 @@ dfslRun(scenes::WorkloadId id, unsigned fbw, unsigned fbh,
     }
     out.meanAll /= total;
     out.meanRun /= run_frames;
+    harness.recordEventHash(label, rig.sim());
     return out;
 }
 
@@ -109,12 +96,24 @@ runScenario(int argc, char **argv)
     std::printf("finding SOPT...\n");
     unsigned sopt = 1;
     {
+        // cycles[w][wt - 1]: each (workload, WT) rig runs once; a run
+        // is deterministic, so the WT=1 baseline is not re-simulated.
+        std::vector<std::vector<double>> cycles;
+        for (scenes::WorkloadId id : workloads) {
+            std::vector<double> &row = cycles.emplace_back();
+            for (unsigned wt = 1; wt <= 10; ++wt) {
+                row.push_back(meanCyclesAtWt(
+                    harness,
+                    std::string("sopt.") + scenes::workloadName(id) +
+                        ".wt" + std::to_string(wt),
+                    id, wt, fbw, fbh, 2));
+            }
+        }
         double best = 1e300;
         for (unsigned wt = 1; wt <= 10; ++wt) {
             double total = 0;
-            for (scenes::WorkloadId id : workloads)
-                total += meanCyclesAtWt(id, wt, fbw, fbh, 2) /
-                         meanCyclesAtWt(id, 1, fbw, fbh, 2);
+            for (const std::vector<double> &row : cycles)
+                total += row[wt - 1] / row[0];
             if (total < best) {
                 best = total;
                 sopt = wt;
@@ -127,10 +126,15 @@ runScenario(int argc, char **argv)
                 "MLC", "SOPT", "DFSL", "DFSLrun");
     double g_mlc = 0, g_sopt = 0, g_dfsl = 0, g_dfslr = 0;
     for (scenes::WorkloadId id : workloads) {
-        double mlb = staticRun(id, 1, fbw, fbh, frames);
-        double mlc = staticRun(id, 10, fbw, fbh, frames);
-        double sopt_c = staticRun(id, sopt, fbw, fbh, frames);
-        DfslResult dfsl_c = dfslRun(id, fbw, fbh, run_frames, max_wt);
+        std::string wl = scenes::workloadName(id);
+        double mlb =
+            meanCyclesAtWt(harness, wl + ".mlb", id, 1, fbw, fbh, frames);
+        double mlc = meanCyclesAtWt(harness, wl + ".mlc", id, 10, fbw,
+                                    fbh, frames);
+        double sopt_c = meanCyclesAtWt(harness, wl + ".sopt", id, sopt,
+                                       fbw, fbh, frames);
+        DfslResult dfsl_c = dfslRun(harness, wl + ".dfsl", id, fbw, fbh,
+                                    run_frames, max_wt);
         double s_mlc = mlb / mlc;
         double s_sopt = mlb / sopt_c;
         double s_dfsl = mlb / dfsl_c.meanAll;
@@ -139,7 +143,6 @@ runScenario(int argc, char **argv)
         g_sopt += s_sopt;
         g_dfsl += s_dfsl;
         g_dfslr += s_dfslr;
-        std::string wl = scenes::workloadName(id);
         results.record(wl + ".speedup_mlc", s_mlc);
         results.record(wl + ".speedup_sopt", s_sopt);
         results.record(wl + ".speedup_dfsl", s_dfsl);

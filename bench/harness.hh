@@ -80,6 +80,17 @@ class BenchResults
 };
 
 /**
+ * 53-bit fold of @p sim's event-stream hash, exact as a JSON double:
+ * the form every bench records under `<label>.event_hash`.
+ */
+inline double
+eventHashFold(const Simulation &sim)
+{
+    return static_cast<double>(sim.determinismHash() &
+                               ((1ULL << 53) - 1));
+}
+
+/**
  * The common bench prologue, deduplicated: parses --key=value
  * arguments, interprets --quick, opens the --stats-out results sink
  * and exposes a SimulationBuilder carrying the observability keys
@@ -125,6 +136,18 @@ class BenchHarness
                                            : label + "-" + fp);
     }
 
+    /**
+     * Under --check-determinism, record @p sim's event-stream hash as
+     * `<label>.event_hash`: the cross-commit oracle for benches whose
+     * results are ratios. Without the flag the results are unchanged.
+     */
+    void
+    recordEventHash(const std::string &label, const Simulation &sim) const
+    {
+        if (cfg.getBool("check-determinism", false))
+            results->record(label + ".event_hash", eventHashFold(sim));
+    }
+
     Config cfg;
     bool quick = false;
     std::unique_ptr<BenchResults> results;
@@ -148,13 +171,18 @@ renderFrame(soc::StandaloneGpu &rig, scenes::SceneRenderer &scene,
 
 /**
  * Mean frame cycles for @p workload at WT size @p wt: one warm-up
- * frame plus @p frames measured frames on a fresh rig.
+ * frame plus @p frames measured frames on a fresh rig built from
+ * harness.builderFor(@p label), whose event hash is recorded under
+ * @p label.
  */
 inline double
-meanCyclesAtWt(scenes::WorkloadId workload, unsigned wt,
-               unsigned fb_w, unsigned fb_h, unsigned frames = 3)
+meanCyclesAtWt(const BenchHarness &harness, const std::string &label,
+               scenes::WorkloadId workload, unsigned wt, unsigned fb_w,
+               unsigned fb_h, unsigned frames = 3)
 {
-    soc::StandaloneGpu rig(fb_w, fb_h);
+    soc::StandaloneGpu rig(fb_w, fb_h, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(),
+                           harness.builderFor(label));
     scenes::SceneRenderer scene(rig.pipeline(),
                                 scenes::makeWorkload(workload),
                                 rig.functionalMemory());
@@ -164,6 +192,7 @@ meanCyclesAtWt(scenes::WorkloadId workload, unsigned wt,
     for (unsigned f = 1; f <= frames; ++f)
         sum += static_cast<double>(
             renderFrame(rig, scene, f).cycles);
+    harness.recordEventHash(label, rig.sim());
     return sum / frames;
 }
 

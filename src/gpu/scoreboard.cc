@@ -1,5 +1,7 @@
 #include "gpu/scoreboard.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace emerald::gpu
@@ -10,14 +12,15 @@ using isa::Opcode;
 using isa::Operand;
 
 Scoreboard::Scoreboard(unsigned num_warps)
-    : _pendingWrites(static_cast<std::size_t>(num_warps) * numSlots, 0)
+    : _pendingWrites(static_cast<std::size_t>(num_warps) * numSlots, 0),
+      _pendingTotal(num_warps, 0)
 {
 }
 
-std::vector<unsigned>
+SlotList
 Scoreboard::destSlots(const Instruction &instr)
 {
-    std::vector<unsigned> slots;
+    SlotList slots;
     if (instr.op == Opcode::SETP) {
         slots.push_back(predSlot(instr.dst.index));
         return slots;
@@ -30,33 +33,24 @@ Scoreboard::destSlots(const Instruction &instr)
     return slots;
 }
 
-std::vector<unsigned>
-Scoreboard::srcSlots(const Instruction &instr)
-{
-    std::vector<unsigned> slots;
-    if (instr.guard >= 0)
-        slots.push_back(predSlot(instr.guard));
-    for (const Operand &src : instr.src) {
-        if (src.kind == Operand::Kind::Reg) {
-            unsigned count = (instr.op == Opcode::BLEND ||
-                              instr.op == Opcode::STFB)
-                                 ? 4
-                                 : 1;
-            for (unsigned i = 0; i < count; ++i)
-                slots.push_back(static_cast<unsigned>(src.index) + i);
-        } else if (src.kind == Operand::Kind::Pred) {
-            slots.push_back(predSlot(src.index));
-        }
-    }
-    return slots;
-}
-
 bool
 Scoreboard::ready(unsigned warp, const Instruction &instr) const
 {
-    for (unsigned slot : srcSlots(instr)) {
-        if (pending(warp, slot))
+    if (instr.guard >= 0 && pending(warp, predSlot(instr.guard)))
+        return false;
+    // BLEND/STFB read an RGBA quad per register operand.
+    unsigned width =
+        (instr.op == Opcode::BLEND || instr.op == Opcode::STFB) ? 4 : 1;
+    for (const Operand &src : instr.src) {
+        if (src.kind == Operand::Kind::Reg) {
+            for (unsigned i = 0; i < width; ++i) {
+                if (pending(warp, static_cast<unsigned>(src.index) + i))
+                    return false;
+            }
+        } else if (src.kind == Operand::Kind::Pred &&
+                   pending(warp, predSlot(src.index))) {
             return false;
+        }
     }
     for (unsigned slot : destSlots(instr)) {
         if (pending(warp, slot))
@@ -66,38 +60,31 @@ Scoreboard::ready(unsigned warp, const Instruction &instr) const
 }
 
 void
-Scoreboard::markPending(unsigned warp,
-                        const std::vector<unsigned> &slots)
+Scoreboard::markPending(unsigned warp, const SlotList &slots)
 {
     for (unsigned slot : slots)
         ++_pendingWrites[warp * numSlots + slot];
+    _pendingTotal[warp] += slots.size();
 }
 
 void
-Scoreboard::release(unsigned warp, const std::vector<unsigned> &slots)
+Scoreboard::release(unsigned warp, const SlotList &slots)
 {
     for (unsigned slot : slots) {
         auto &count = _pendingWrites[warp * numSlots + slot];
         panic_if(count == 0, "scoreboard underflow");
         --count;
     }
-}
-
-bool
-Scoreboard::idle(unsigned warp) const
-{
-    for (unsigned slot = 0; slot < numSlots; ++slot) {
-        if (pending(warp, slot))
-            return false;
-    }
-    return true;
+    _pendingTotal[warp] -= slots.size();
 }
 
 void
 Scoreboard::resetWarp(unsigned warp)
 {
-    for (unsigned slot = 0; slot < numSlots; ++slot)
-        _pendingWrites[warp * numSlots + slot] = 0;
+    auto first = _pendingWrites.begin() +
+                 static_cast<std::ptrdiff_t>(warp * numSlots);
+    std::fill(first, first + numSlots, 0);
+    _pendingTotal[warp] = 0;
 }
 
 } // namespace emerald::gpu

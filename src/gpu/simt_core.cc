@@ -13,6 +13,14 @@ using isa::Instruction;
 using isa::LatencyClass;
 using isa::Opcode;
 
+namespace
+{
+
+/** Index into SimtCore::_writebacks by fixed latency. */
+enum WritebackClass : unsigned { wbAlu, wbSfu, wbShared };
+
+} // namespace
+
 SimtCore::SimtCore(Simulation &sim, const std::string &name,
                    ClockDomain &domain, const SimtCoreParams &params,
                    MemSink &downstream)
@@ -30,10 +38,21 @@ SimtCore::SimtCore(Simulation &sim, const std::string &name,
       statLsuStalls(*this, "lsu_stalls",
                     "LSU sends blocked pending an L1 retry"),
       _params(params), _downstream(downstream),
-      _warps(params.maxWarps), _scoreboard(params.maxWarps)
+      _warps(params.maxWarps), _scoreboard(params.maxWarps),
+      _eligible(params.schedulers, 0),
+      _draining((params.maxWarps + 63) / 64, 0)
 {
     // Each scheduler lane owns an interleaved subset of the warp
-    // slots; the policy object only ever ranks its own subset.
+    // slots; the policy object only ever picks from its own subset,
+    // held as one 64-bit eligible mask.
+    fatal_if(params.schedulers == 0, "%s: needs at least one warp "
+             "scheduler", name.c_str());
+    unsigned per_lane = (params.maxWarps + params.schedulers - 1) /
+                        params.schedulers;
+    fatal_if(per_lane > 64,
+             "%s: %u warp slots over %u schedulers put %u slots in one "
+             "lane; a lane holds at most 64",
+             name.c_str(), params.maxWarps, params.schedulers, per_lane);
     for (unsigned s = 0; s < params.schedulers; ++s) {
         std::vector<unsigned> owned;
         for (unsigned slot = s; slot < params.maxWarps;
@@ -144,19 +163,78 @@ SimtCore::tryAddTask(WarpTask &&task)
 bool
 SimtCore::idle() const
 {
-    if (!_taskQueue.empty() || !_lsuQueue.empty() ||
-        !_writebacks.empty()) {
+    return _taskQueue.empty() && _lsuQueue.empty() &&
+           !writebacksPending() && _resident == 0;
+}
+
+bool
+SimtCore::writebacksPending() const
+{
+    for (const std::deque<Writeback> &fifo : _writebacks) {
+        if (!fifo.empty())
+            return true;
+    }
+    return false;
+}
+
+bool
+SimtCore::computeEligible(unsigned slot) const
+{
+    const Warp &warp = _warps[slot];
+    if (!warp.valid || warp.draining || warp.atBarrier ||
+        warp.pendingInitFetch > 0 ||
+        warp.pendingMemInstrs >= _params.maxPendingMemInstrsPerWarp ||
+        warp.stack.empty()) {
         return false;
     }
-    for (const Warp &warp : _warps) {
-        if (warp.valid)
-            return false;
+    int pc = warp.stack.pc();
+    if (pc < 0 ||
+        pc >= static_cast<int>(warp.task.program->code.size())) {
+        panic("%s: warp pc %d out of range in %s", name().c_str(), pc,
+              warp.task.program->name.c_str());
     }
-    return true;
+    return _scoreboard.ready(
+        slot, warp.task.program->code[static_cast<std::size_t>(pc)]);
+}
+
+void
+SimtCore::refreshEligible(unsigned slot)
+{
+    std::uint64_t bit = std::uint64_t{1} << (slot / _params.schedulers);
+    std::uint64_t &mask = _eligible[slot % _params.schedulers];
+    if (computeEligible(slot))
+        mask |= bit;
+    else
+        mask &= ~bit;
+}
+
+void
+SimtCore::verifyEligible() const
+{
+    unsigned resident = 0;
+    for (unsigned slot = 0; slot < _warps.size(); ++slot) {
+        const Warp &warp = _warps[slot];
+        resident += warp.valid;
+        unsigned lane = slot % _params.schedulers;
+        bool have = (_eligible[lane] >> (slot / _params.schedulers)) & 1;
+        bool want = computeEligible(slot);
+        panic_if(have != want,
+                 "%s: lane %u eligible mask has slot %u %s, but the "
+                 "warp is %s",
+                 name().c_str(), lane, slot, have ? "set" : "clear",
+                 want ? "eligible" : "not eligible");
+        bool listed = (_draining[slot / 64] >> (slot % 64)) & 1;
+        panic_if(listed != (warp.valid && warp.draining),
+                 "%s: drain set %s slot %u", name().c_str(),
+                 listed ? "holds" : "misses", slot);
+    }
+    panic_if(resident != _resident,
+             "%s: %u resident warps counted, %u valid", name().c_str(),
+             _resident, resident);
 }
 
 unsigned
-SimtCore::allocMemInstr(unsigned slot, std::vector<unsigned> regs,
+SimtCore::allocMemInstr(unsigned slot, const SlotList &regs,
                         bool init_fetch)
 {
     unsigned id;
@@ -170,7 +248,7 @@ SimtCore::allocMemInstr(unsigned slot, std::vector<unsigned> regs,
     MemInstrState &state = _memInstrs[id];
     state.inUse = true;
     state.slot = slot;
-    state.regSlots = std::move(regs);
+    state.regSlots = regs;
     state.outstanding = 0;
     state.initFetch = init_fetch;
     return id;
@@ -184,7 +262,8 @@ SimtCore::launchQueuedTasks()
         unsigned regs_needed =
             task.program->numRegs * isa::warpSize;
         if (_regsInUse + regs_needed > _params.numRegisters ||
-            _threadsInUse + isa::warpSize > _params.maxThreads) {
+            _threadsInUse + isa::warpSize > _params.maxThreads ||
+            _resident == _warps.size()) {
             return;
         }
         int free_slot = -1;
@@ -194,8 +273,8 @@ SimtCore::launchQueuedTasks()
                 break;
             }
         }
-        if (free_slot < 0)
-            return;
+        panic_if(free_slot < 0, "%s: %u resident warps but no free slot",
+                 name().c_str(), _resident);
 
         Warp &warp = _warps[static_cast<unsigned>(free_slot)];
         warp.valid = true;
@@ -207,9 +286,11 @@ SimtCore::launchQueuedTasks()
         warp.atBarrier = false;
         warp.draining = false;
         warp.lastFetchLine = -1;
+        warp.fetchBase = fetchBaseFor(*warp.task.program);
         warp.warpInstrsExecuted = 0;
         warp.launchSeq = _launchSeq++;
         _scoreboard.resetWarp(static_cast<unsigned>(free_slot));
+        ++_resident;
         _regsInUse += regs_needed;
         _threadsInUse += isa::warpSize;
 
@@ -223,7 +304,7 @@ SimtCore::launchQueuedTasks()
             auto lines = coalesce(warp.task.initFetch,
                                   _params.l1c.lineSize);
             unsigned id = allocMemInstr(
-                static_cast<unsigned>(free_slot), {}, true);
+                static_cast<unsigned>(free_slot), SlotList{}, true);
             MemInstrState &state = _memInstrs[id];
             for (const CoalescedAccess &line : lines) {
                 if (line.write)
@@ -240,28 +321,35 @@ SimtCore::launchQueuedTasks()
                 warp.pendingInitFetch = state.outstanding;
             }
         }
+        refreshEligible(static_cast<unsigned>(free_slot));
     }
 }
 
-void
-SimtCore::chargeInstructionFetch(Warp &warp, unsigned)
+Addr
+SimtCore::fetchBaseFor(const isa::Program &program)
 {
-    std::int64_t line = warp.stack.pc() / _params.instrsPerFetchLine;
-    if (line == warp.lastFetchLine)
-        return;
-    warp.lastFetchLine = line;
     // Synthetic instruction addresses: stable per program. Derived
     // from the program NAME, never its host pointer — heap addresses
     // vary run to run, which would leak host allocator state into L1I
     // conflict patterns and break event-stream determinism (caught by
     // the sim.check.event_hash verifier).
     std::uint64_t name_hash = 0xcbf29ce484222325ULL;
-    for (char c : warp.task.program->name) {
+    for (char c : program.name) {
         name_hash ^= static_cast<unsigned char>(c);
         name_hash *= 0x00000100000001b3ULL;
     }
-    Addr base = 0x40000000ULL ^ (name_hash & 0x0FFFF000ULL);
-    Addr addr = base + static_cast<Addr>(line) * _params.l1i.lineSize;
+    return 0x40000000ULL ^ (name_hash & 0x0FFFF000ULL);
+}
+
+void
+SimtCore::chargeInstructionFetch(Warp &warp)
+{
+    std::int64_t line = warp.stack.pc() / _params.instrsPerFetchLine;
+    if (line == warp.lastFetchLine)
+        return;
+    warp.lastFetchLine = line;
+    Addr addr =
+        warp.fetchBase + static_cast<Addr>(line) * _params.l1i.lineSize;
     _lsuQueue.push_back({addr, false, AccessKind::Inst, -1});
 }
 
@@ -273,7 +361,7 @@ SimtCore::executeWarp(unsigned slot)
         warp.task.program->code[static_cast<std::size_t>(
             warp.stack.pc())];
 
-    chargeInstructionFetch(warp, slot);
+    chargeInstructionFetch(warp);
 
     std::uint32_t active = warp.stack.activeMask();
     executeWarpInstruction(instr, active, warp.task.threads.data(),
@@ -296,26 +384,26 @@ SimtCore::executeWarp(unsigned slot)
 
     // Latency / memory handling.
     LatencyClass lat = instr.latencyClass();
-    std::vector<unsigned> dests = Scoreboard::destSlots(instr);
+    SlotList dests = Scoreboard::destSlots(instr);
 
-    auto fixed_latency = [&](Cycle cycles) {
+    auto fixed_latency = [&](WritebackClass fifo, Cycle cycles) {
         if (dests.empty())
             return;
         _scoreboard.markPending(slot, dests);
         Tick release = curTick() + clockDomain().cyclesToTicks(cycles);
-        _writebacks.emplace(release, std::make_pair(slot, dests));
+        _writebacks[fifo].push_back({release, slot, dests});
     };
 
     switch (lat) {
       case LatencyClass::Alu:
       case LatencyClass::Control:
-        fixed_latency(_params.aluLatency);
+        fixed_latency(wbAlu, _params.aluLatency);
         break;
       case LatencyClass::Sfu:
-        fixed_latency(_params.sfuLatency);
+        fixed_latency(wbSfu, _params.sfuLatency);
         break;
       case LatencyClass::MemShared:
-        fixed_latency(_params.sharedMemLatency);
+        fixed_latency(wbShared, _params.sharedMemLatency);
         break;
       case LatencyClass::MemGlobal:
       case LatencyClass::Tex:
@@ -346,7 +434,7 @@ SimtCore::executeWarp(unsigned slot)
                 _lsuQueue.push_back(
                     {line.lineAddr, line.write, _effects.kind, -1});
             }
-            fixed_latency(_params.aluLatency);
+            fixed_latency(wbAlu, _params.aluLatency);
         }
         break;
       }
@@ -355,8 +443,11 @@ SimtCore::executeWarp(unsigned slot)
     if (instr.op == Opcode::BAR)
         barrierArrive(slot);
 
-    if (warp.executionDone())
+    if (warp.executionDone()) {
         warp.draining = true;
+        _draining[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    }
+    refreshEligible(slot);
 }
 
 void
@@ -366,13 +457,17 @@ SimtCore::barrierArrive(unsigned slot)
     if (warp.task.ctaKey < 0 || warp.task.ctaWarps <= 1)
         return; // Degenerate barrier: nothing to wait for.
     warp.atBarrier = true;
-    unsigned &arrived = _barrierArrived[warp.task.ctaKey];
-    ++arrived;
-    if (arrived >= warp.task.ctaWarps) {
-        arrived = 0;
-        for (Warp &other : _warps) {
-            if (other.valid && other.task.ctaKey == warp.task.ctaKey)
-                other.atBarrier = false;
+    auto group = _barrierArrived.try_emplace(warp.task.ctaKey, 0).first;
+    if (++group->second < warp.task.ctaWarps)
+        return;
+    // Release: the group's next barrier starts a fresh entry, and a
+    // finished CTA leaves none behind (keys are never reused).
+    _barrierArrived.erase(group);
+    for (unsigned other = 0; other < _warps.size(); ++other) {
+        Warp &w = _warps[other];
+        if (w.valid && w.task.ctaKey == warp.task.ctaKey) {
+            w.atBarrier = false;
+            refreshEligible(other);
         }
     }
 }
@@ -380,35 +475,17 @@ SimtCore::barrierArrive(unsigned slot)
 bool
 SimtCore::issueFrom(unsigned scheduler)
 {
-    // The policy ranks only the slots this lane owns — O(warps /
-    // schedulers) per lane instead of the old O(warps) scan over the
-    // whole array with a modulo ownership filter.
+#ifdef EMERALD_CHECKS
+    verifyEligible();
+#endif
+    std::uint64_t eligible = _eligible[scheduler];
+    if (eligible == 0)
+        return false;
     WarpScheduler &sched = *_warpScheds[scheduler];
-    sched.order(_warps, _orderBuf);
-    for (unsigned slot : _orderBuf) {
-        Warp &warp = _warps[slot];
-        if (!warp.valid || warp.draining || warp.atBarrier ||
-            warp.pendingInitFetch > 0 ||
-            warp.pendingMemInstrs >=
-                _params.maxPendingMemInstrsPerWarp ||
-            warp.stack.empty()) {
-            continue;
-        }
-        int pc = warp.stack.pc();
-        if (pc < 0 ||
-            pc >= static_cast<int>(warp.task.program->code.size())) {
-            panic("%s: warp pc %d out of range in %s", name().c_str(),
-                  pc, warp.task.program->name.c_str());
-        }
-        const Instruction &instr =
-            warp.task.program->code[static_cast<std::size_t>(pc)];
-        if (!_scoreboard.ready(slot, instr))
-            continue;
-        executeWarp(slot);
-        sched.issued(slot);
-        return true;
-    }
-    return false;
+    unsigned slot = sched.pick(_warps, eligible);
+    executeWarp(slot);
+    sched.issued(slot);
+    return true;
 }
 
 void
@@ -482,8 +559,9 @@ SimtCore::memResponse(MemPacket *pkt)
             --warp.pendingMemInstrs;
         }
         state.inUse = false;
-        state.regSlots.clear();
+        state.regSlots = {};
         _memInstrFreeList.push_back(id);
+        refreshEligible(state.slot);
     }
     freePacket(pkt);
     activate();
@@ -493,32 +571,45 @@ void
 SimtCore::processWritebacks()
 {
     Tick now = curTick();
-    while (!_writebacks.empty() && _writebacks.begin()->first <= now) {
-        auto [slot, regs] = _writebacks.begin()->second;
-        _writebacks.erase(_writebacks.begin());
-        _scoreboard.release(slot, regs);
+    for (std::deque<Writeback> &fifo : _writebacks) {
+        while (!fifo.empty() && fifo.front().release <= now) {
+            const Writeback &wb = fifo.front();
+            _scoreboard.release(wb.slot, wb.regs);
+            refreshEligible(wb.slot);
+            fifo.pop_front();
+        }
     }
 }
 
 void
-SimtCore::finishWarpIfDrained(unsigned slot)
+SimtCore::finishDrainedWarps()
 {
-    Warp &warp = _warps[slot];
-    if (!warp.valid || !warp.draining)
-        return;
-    if (warp.pendingInitFetch > 0 || warp.pendingMemInstrs > 0 ||
-        !_scoreboard.idle(slot)) {
-        return;
+    // Ascending slot order, so completion callbacks run in the order
+    // a scan over every slot would run them.
+    for (std::size_t word = 0; word < _draining.size(); ++word) {
+        for (std::uint64_t bits = _draining[word]; bits;
+             bits &= bits - 1) {
+            unsigned bit = static_cast<unsigned>(std::countr_zero(bits));
+            unsigned slot = static_cast<unsigned>(word * 64 + bit);
+            Warp &warp = _warps[slot];
+            if (warp.pendingInitFetch > 0 || warp.pendingMemInstrs > 0 ||
+                !_scoreboard.idle(slot)) {
+                continue;
+            }
+            // Free resources before the callback so completion
+            // handlers can immediately enqueue follow-up work.
+            _draining[word] &= ~(std::uint64_t{1} << bit);
+            WarpTask task = std::move(warp.task);
+            warp.valid = false;
+            warp.draining = false;
+            --_resident;
+            refreshEligible(slot);
+            _regsInUse -= task.program->numRegs * isa::warpSize;
+            _threadsInUse -= isa::warpSize;
+            if (task.onComplete)
+                task.onComplete(task, task.threads.data());
+        }
     }
-    // Free resources before the callback so completion handlers can
-    // immediately enqueue follow-up work.
-    WarpTask task = std::move(warp.task);
-    warp.valid = false;
-    warp.draining = false;
-    _regsInUse -= task.program->numRegs * isa::warpSize;
-    _threadsInUse -= isa::warpSize;
-    if (task.onComplete)
-        task.onComplete(task, task.threads.data());
 }
 
 bool
@@ -527,13 +618,7 @@ SimtCore::tick()
     processWritebacks();
     launchQueuedTasks();
 
-    bool any_resident = false;
-    for (const Warp &warp : _warps) {
-        if (warp.valid) {
-            any_resident = true;
-            break;
-        }
-    }
+    bool any_resident = _resident > 0;
     if (any_resident)
         ++statCyclesActive;
 
@@ -546,9 +631,7 @@ SimtCore::tick()
     }
 
     drainLsu();
-
-    for (unsigned slot = 0; slot < _warps.size(); ++slot)
-        finishWarpIfDrained(slot);
+    finishDrainedWarps();
 
     if (idle())
         return false;
@@ -560,7 +643,7 @@ SimtCore::tick()
     // costing one simulation event per idle cycle.
     bool local_work = issued_any ||
                       (!_lsuQueue.empty() && !_lsuRetryPkt) ||
-                      !_writebacks.empty() || !_taskQueue.empty();
+                      writebacksPending() || !_taskQueue.empty();
     return local_work;
 }
 

@@ -8,11 +8,17 @@
  * SFU / shared memory) or through the memory system (coalesced
  * transactions into the per-core L1 caches: L1I instruction, L1D
  * global+pixel, L1T texture, L1Z depth, L1C constant+vertex).
+ *
+ * Readiness is event-driven: each scheduler lane keeps a mask of its
+ * eligible slots, recomputed only for the slots an event touches
+ * (docs/scheduling.md), so a cycle with nothing to issue costs O(1).
  */
 
 #ifndef EMERALD_GPU_SIMT_CORE_HH
 #define EMERALD_GPU_SIMT_CORE_HH
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
@@ -99,6 +105,12 @@ class SimtCore : public SimObject,
 
     const SimtCoreParams &params() const { return _params; }
 
+    /** Barrier groups with arrived warps still waiting on the rest. */
+    std::size_t openBarrierGroups() const
+    {
+        return _barrierArrived.size();
+    }
+
     /** The L1 cache that services @p kind. */
     cache::Cache &l1ForKind(AccessKind kind);
 
@@ -149,7 +161,7 @@ class SimtCore : public SimObject,
     {
         bool inUse = false;
         unsigned slot = 0;
-        std::vector<unsigned> regSlots;
+        SlotList regSlots;
         unsigned outstanding = 0;
         bool initFetch = false;
     };
@@ -164,16 +176,34 @@ class SimtCore : public SimObject,
         int memInstrId;
     };
 
+    /** A pending fixed-latency scoreboard release. */
+    struct Writeback
+    {
+        Tick release;
+        unsigned slot;
+        SlotList regs;
+    };
+
     void launchQueuedTasks();
     bool issueFrom(unsigned scheduler);
     void executeWarp(unsigned slot);
-    void chargeInstructionFetch(Warp &warp, unsigned slot);
-    void finishWarpIfDrained(unsigned slot);
+    void chargeInstructionFetch(Warp &warp);
+    /** Base of @p program's synthetic I-fetch addresses. */
+    static Addr fetchBaseFor(const isa::Program &program);
+    void finishDrainedWarps();
     void drainLsu();
     void processWritebacks();
+    bool writebacksPending() const;
     void barrierArrive(unsigned slot);
 
-    unsigned allocMemInstr(unsigned slot, std::vector<unsigned> regs,
+    /** Whether @p slot may issue now (see _eligible). */
+    bool computeEligible(unsigned slot) const;
+    /** Re-derive @p slot's bit in its lane's eligible mask. */
+    void refreshEligible(unsigned slot);
+    /** EMERALD_CHECKS: panic if any incremental mask is stale. */
+    void verifyEligible() const;
+
+    unsigned allocMemInstr(unsigned slot, const SlotList &regs,
                            bool init_fetch);
 
     SimtCoreParams _params;
@@ -188,6 +218,22 @@ class SimtCore : public SimObject,
     std::vector<Warp> _warps;
     Scoreboard _scoreboard;
     std::deque<WarpTask> _taskQueue;
+
+    /**
+     * Per scheduler lane, bit k set when the lane's k-th owned slot
+     * (slot k * schedulers + lane) may issue: valid, not draining or
+     * at a barrier, no init fetch, under the pending-memory cap, and
+     * scoreboard-ready for the instruction at its pc. Updated by
+     * refreshEligible() at every event that can change one of those.
+     */
+    std::vector<std::uint64_t> _eligible;
+    /** Valid warp slots. */
+    unsigned _resident = 0;
+    /**
+     * Bitset over slots (64 per word) of warps that ran dry and wait
+     * for their reads and writebacks before completing.
+     */
+    std::vector<std::uint64_t> _draining;
 
     /** Registers and threads currently allocated to resident warps. */
     unsigned _regsInUse = 0;
@@ -204,17 +250,19 @@ class SimtCore : public SimObject,
      */
     MemPacket *_lsuRetryPkt = nullptr;
 
-    /** Pending scoreboard releases: cycle -> (slot, reg slots). */
-    std::multimap<Tick, std::pair<unsigned, std::vector<unsigned>>>
-        _writebacks;
+    /**
+     * Pending scoreboard releases, one FIFO per fixed latency: ALU
+     * (also control and store-only memory), SFU, shared memory. All
+     * entries of a FIFO share one latency, so their release ticks are
+     * monotonic and the front is the next due.
+     */
+    std::array<std::deque<Writeback>, 3> _writebacks;
 
     /** Barrier bookkeeping: ctaKey -> arrived count. */
     std::map<int, unsigned> _barrierArrived;
 
     /** One scheduling policy per scheduler lane (warp_sched.hh). */
     std::vector<std::unique_ptr<WarpScheduler>> _warpScheds;
-    /** Ranking scratch buffer, reused each cycle to avoid churn. */
-    std::vector<unsigned> _orderBuf;
     /** Monotonic warp-launch counter feeding Warp::launchSeq. */
     std::uint64_t _launchSeq = 0;
 

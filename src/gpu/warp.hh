@@ -73,6 +73,8 @@ struct Warp
 
     /** Instruction line of the last I-fetch (for L1I traffic). */
     std::int64_t lastFetchLine = -1;
+    /** Synthetic I-fetch base address, hashed from the program name. */
+    Addr fetchBase = 0;
 
     std::uint64_t warpInstrsExecuted = 0;
 

@@ -1,6 +1,7 @@
 #include "gpu/warp_sched.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <tuple>
 
@@ -16,10 +17,34 @@ namespace
 using isa::LatencyClass;
 
 /**
- * Loose round-robin: rotate through the owned slots starting just
- * after the last-issued one. The cursor starts so that the very first
- * ranking reproduces the core's original whole-array scan from
- * _issuePtr == 0: lane 0 owns slot 0 (its old scan saw slot `k`
+ * The owned slot in @p eligible with the smallest key(slot); the slot
+ * is the key's last component, so the minimum is unique.
+ */
+template <typename KeyFn>
+unsigned
+minKeySlot(const std::vector<unsigned> &owned, std::uint64_t eligible,
+           KeyFn key)
+{
+    unsigned best = owned[static_cast<unsigned>(
+        std::countr_zero(eligible))];
+    auto best_key = key(best);
+    for (eligible &= eligible - 1; eligible; eligible &= eligible - 1) {
+        unsigned slot = owned[static_cast<unsigned>(
+            std::countr_zero(eligible))];
+        auto k = key(slot);
+        if (k < best_key) {
+            best = slot;
+            best_key = k;
+        }
+    }
+    return best;
+}
+
+/**
+ * Loose round-robin: the first eligible owned slot after the
+ * last-issued one, wrapping around. The cursor starts so that the
+ * very first pick reproduces the core's original whole-array scan
+ * from _issuePtr == 0: lane 0 owns slot 0 (its old scan saw slot `k`
  * first), every other lane's first owned slot lies after slot 0 (its
  * old scan saw owned[0] first).
  */
@@ -33,13 +58,14 @@ class LrrScheduler final : public WarpScheduler
                       : _owned.size() - 1)
     {}
 
-    void
-    order(const std::vector<Warp> &, std::vector<unsigned> &out) override
+    unsigned
+    pick(const std::vector<Warp> &, std::uint64_t eligible) override
     {
-        out.clear();
-        const std::size_t m = _owned.size();
-        for (std::size_t step = 1; step <= m; ++step)
-            out.push_back(_owned[(_cursor + step) % m]);
+        // Bits above the cursor first; 2 << 63 wraps to 0, so the
+        // last bit's "after" set is empty.
+        std::uint64_t after = eligible & ~((std::uint64_t{2} << _cursor) - 1);
+        std::uint64_t from = after ? after : eligible;
+        return _owned[static_cast<unsigned>(std::countr_zero(from))];
     }
 
     void
@@ -78,15 +104,12 @@ class GtoScheduler final : public WarpScheduler
   public:
     using WarpScheduler::WarpScheduler;
 
-    void
-    order(const std::vector<Warp> &warps,
-          std::vector<unsigned> &out) override
+    unsigned
+    pick(const std::vector<Warp> &warps, std::uint64_t eligible) override
     {
-        out.assign(_owned.begin(), _owned.end());
-        std::sort(out.begin(), out.end(),
-                  [&](unsigned a, unsigned b) {
-                      return key(warps, a) < key(warps, b);
-                  });
+        return minKeySlot(_owned, eligible, [&](unsigned slot) {
+            return key(warps, slot);
+        });
     }
 
     void issued(unsigned slot) override { _lastIssued = slot; }
@@ -137,15 +160,12 @@ class WaspScheduler final : public WarpScheduler
 
     static constexpr unsigned lookaheadWindow = 8;
 
-    void
-    order(const std::vector<Warp> &warps,
-          std::vector<unsigned> &out) override
+    unsigned
+    pick(const std::vector<Warp> &warps, std::uint64_t eligible) override
     {
-        out.assign(_owned.begin(), _owned.end());
-        std::sort(out.begin(), out.end(),
-                  [&](unsigned a, unsigned b) {
-                      return key(warps, a) < key(warps, b);
-                  });
+        return minKeySlot(_owned, eligible, [&](unsigned slot) {
+            return key(warps, slot);
+        });
     }
 
     const char *policyName() const override { return "wasp"; }

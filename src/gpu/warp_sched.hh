@@ -3,10 +3,11 @@
  * Pluggable warp-scheduling policies for the SIMT cores.
  *
  * Each SimtCore scheduler lane owns a fixed, interleaved subset of the
- * warp slots (slot % schedulers == lane). A WarpScheduler ranks those
- * owned slots each cycle; the core walks the ranking and issues the
- * first warp that passes the eligibility and scoreboard checks, then
- * reports the choice back through issued().
+ * warp slots (slot % schedulers == lane). The core keeps, per lane, a
+ * mask of the owned slots that are eligible to issue this cycle
+ * (docs/scheduling.md lists what makes a slot eligible); when it is
+ * non-zero, the lane's WarpScheduler picks one slot from it, and the
+ * core issues that warp and reports the choice back through issued().
  *
  * Policies register by name in a factory registry (--warp-sched picks
  * one at run time); createWarpScheduler() is the only construction
@@ -48,13 +49,15 @@ class WarpScheduler
     virtual ~WarpScheduler() = default;
 
     /**
-     * Rank the owned slots for this cycle: fill @p out with every
-     * owned slot, highest priority first. The core issues the first
-     * entry that is eligible and scoreboard-ready; slots holding
-     * invalid warps may appear anywhere (the core skips them).
+     * Choose the warp to issue this cycle. Bit k of @p eligible is
+     * set when owned slot ownedSlots()[k] is valid, unblocked and
+     * scoreboard-ready; @p eligible is never 0. Returns the chosen
+     * slot (a warp-array index whose bit is set). Every policy's
+     * choice is the highest-priority eligible slot under a total
+     * order that breaks ties by slot.
      */
-    virtual void order(const std::vector<Warp> &warps,
-                       std::vector<unsigned> &out) = 0;
+    virtual unsigned pick(const std::vector<Warp> &warps,
+                          std::uint64_t eligible) = 0;
 
     /** The core issued from @p slot this cycle. */
     virtual void issued(unsigned slot) { (void)slot; }
@@ -73,7 +76,7 @@ class WarpScheduler
     unsigned schedulerId() const { return _id; }
 
   protected:
-    /** Owned warp slots, ascending. */
+    /** Owned warp slots, ascending; bit k of a mask is _owned[k]. */
     std::vector<unsigned> _owned;
     unsigned _id;
 };

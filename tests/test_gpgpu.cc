@@ -117,6 +117,40 @@ TEST(Gpgpu, ReductionWithBarriersAcrossManyCtAs)
     }
 }
 
+TEST(Gpgpu, ReleasedBarrierGroupsLeaveNoState)
+{
+    // Every CTA gets a fresh barrier key; a core must forget a group
+    // once its barrier releases, or each barrier-using CTA would leave
+    // an entry behind for the life of the run.
+    KernelRig kr;
+    auto &fmem = kr.rig.functionalMemory();
+    unsigned n = 1024;
+    unsigned block = 64;
+    Addr in = fmem.allocate(n * 4);
+    Addr out = fmem.allocate(n / block * 4);
+    for (unsigned i = 0; i < n; ++i)
+        fmem.writeF32(in + i * 4, 1.0f);
+    const auto *prog =
+        kr.builder.buildKernel("reduce", scenes::kernelReduceSource());
+    for (int run = 0; run < 2; ++run) {
+        gpu::KernelLaunch launch;
+        launch.program = prog;
+        launch.blockX = block;
+        launch.gridX = n / block;
+        launch.memory = &fmem;
+        launch.sharedBytesPerCta = block * 4;
+        launch.constants = {static_cast<float>(in),
+                            static_cast<float>(out)};
+        kr.run(std::move(launch));
+        for (unsigned c = 0; c < kr.rig.gpu().numCores(); ++c) {
+            const gpu::SimtCore &core = kr.rig.gpu().core(c);
+            EXPECT_EQ(core.openBarrierGroups(), 0u)
+                << "run " << run << " core " << c;
+        }
+    }
+    EXPECT_FLOAT_EQ(fmem.readF32(out), static_cast<float>(block));
+}
+
 TEST(Gpgpu, DivergentKernelCorrectAndCostsMore)
 {
     KernelRig kr;
