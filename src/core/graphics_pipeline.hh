@@ -22,6 +22,27 @@
  *
  * Work-tile granularity (WT) controls the TC-tile-to-core mapping;
  * DFSL (case study II) retunes it between frames.
+ *
+ * Sleep/wake contract. The pipeline ticks only while a stage can move.
+ * Each stage marks progress at its natural point (a pop, a push, a
+ * flush, an issue or a raster scan step). A tick ends in one of three
+ * ways:
+ *   - idle (no live work: every queue empty, only warps in flight):
+ *     plain sleep; activate() ticks it at the next edge at or after now
+ *   - progress, or a wait on SIMT task-queue space (vertex launch, TC
+ *     issue): tick again next cycle. Queue space is polled; SimtCore
+ *     has no listener for it
+ *   - blocked (live work, nothing moved): Clocked::sleepBlocked(). The
+ *     wake sources are a vertex or fragment warp completion (the
+ *     onComplete handlers; a fragment completion clears the TC
+ *     interlock), retryRequest() from the L2 link, and a timed wake at
+ *     the earliest TC engine flush timeout (TcUnit::nextTimeoutCycle)
+ * The pipeline ticks at Event::clockPriority - 1, ahead of the SIMT
+ * cores at a shared edge, so a wake from a core tick lands on the next
+ * edge: exactly where a pipeline polling every cycle would first have
+ * seen it. Sleeping therefore moves no simulated result. A blocked tick
+ * must change no state; EMERALD_CHECKS builds verify before each
+ * blocked sleep that every live stage waits on a wake source.
  */
 
 #ifndef EMERALD_CORE_GRAPHICS_PIPELINE_HH
@@ -217,6 +238,16 @@ class GraphicsPipeline : public SimObject,
     void pushL2Write(Addr addr, AccessKind kind);
     void drainL2Traffic();
     void maybeFinishFrame();
+    /** The PMRB may release any ready entry, not just its head. */
+    bool oooRelease() const;
+    /** Work that the stages could move without a warp completion. */
+    bool hasLiveWork() const;
+    /** The earliest TC engine timeout flush over all clusters. */
+    std::optional<Cycle> nextTcTimeout() const;
+#ifdef EMERALD_CHECKS
+    /** Panic unless every live stage waits on a wake source. */
+    void verifyBlocked() const;
+#endif
 
     gpu::GpuTop &_gpu;
     GfxParams _params;
@@ -258,6 +289,12 @@ class GraphicsPipeline : public SimObject,
     bool _l2Blocked = false;
 
     std::function<void(std::uint64_t)> _progressListener;
+
+    /** A stage moved this tick (a pop, push, flush, issue or scan
+     * step); see tick(). */
+    bool _progress = false;
+    /** A stage waited on SIMT task-queue space this tick. */
+    bool _simtQueueWait = false;
 };
 
 } // namespace emerald::core

@@ -119,24 +119,45 @@ TcUnit::tryAdd(const FragmentTile &tile, std::uint64_t now_cycle)
     return true;
 }
 
-void
+bool
 TcUnit::tickTimeouts(std::uint64_t now_cycle)
 {
+    bool flushed = false;
     for (Engine &engine : _engines) {
         if (engine.active && !readyQueueFull() &&
             now_cycle - engine.lastAddCycle >= _flushTimeout) {
             flushEngine(engine, TcFlushReason::Timeout);
+            flushed = true;
         }
     }
+    return flushed;
 }
 
-void
+bool
 TcUnit::drain()
 {
+    bool flushed = false;
     for (Engine &engine : _engines) {
-        if (engine.active && !readyQueueFull())
+        if (engine.active && !readyQueueFull()) {
             flushEngine(engine, TcFlushReason::Drain);
+            flushed = true;
+        }
     }
+    return flushed;
+}
+
+std::optional<std::uint64_t>
+TcUnit::nextTimeoutCycle() const
+{
+    if (readyQueueFull())
+        return std::nullopt;
+    std::optional<std::uint64_t> next;
+    for (const Engine &engine : _engines) {
+        std::uint64_t due = engine.lastAddCycle + _flushTimeout;
+        if (engine.active && (!next || due < *next))
+            next = due;
+    }
+    return next;
 }
 
 TcInstance

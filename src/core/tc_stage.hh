@@ -67,11 +67,24 @@ class TcUnit
      */
     bool tryAdd(const FragmentTile &tile, std::uint64_t now_cycle);
 
-    /** Flush engines idle for longer than the timeout. */
-    void tickTimeouts(std::uint64_t now_cycle);
+    /**
+     * Flush engines idle for longer than the timeout.
+     * @return true when any engine flushed.
+     */
+    bool tickTimeouts(std::uint64_t now_cycle);
 
-    /** Flush everything (draw drain). */
-    void drain();
+    /**
+     * Flush everything (draw drain).
+     * @return true when any engine flushed.
+     */
+    bool drain();
+
+    /**
+     * The first cycle at which tickTimeouts() can flush an engine,
+     * given no further adds: none while no engine is staging or the
+     * ready queue is full (only an issue makes room then).
+     */
+    std::optional<std::uint64_t> nextTimeoutCycle() const;
 
     /** True when a coalesced instance is waiting to issue. */
     bool hasReady() const { return !_ready.empty(); }

@@ -51,10 +51,8 @@ KernelDispatcher::dispatchNextCta()
     for (unsigned attempt = 0; attempt < _gpu.numCores(); ++attempt) {
         unsigned core_idx = (_nextCore + attempt) % _gpu.numCores();
         SimtCore &core = _gpu.core(core_idx);
-        if (core.queuedTasks() + warps >
-            core.params().taskQueueDepth) {
+        if (!core.hasTaskRoom(warps))
             continue;
-        }
 
         unsigned cta_index = kernel.nextCta;
         unsigned cta_x = cta_index % kernel.launch.gridX;

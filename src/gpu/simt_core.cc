@@ -153,7 +153,7 @@ SimtCore::l1ForKind(AccessKind kind)
 bool
 SimtCore::tryAddTask(WarpTask &&task)
 {
-    if (_taskQueue.size() >= _params.taskQueueDepth)
+    if (!hasTaskRoom())
         return false;
     _taskQueue.push_back(std::move(task));
     activate();

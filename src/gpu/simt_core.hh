@@ -98,9 +98,11 @@ class SimtCore : public SimObject,
     /** True when no work is queued, resident, or in flight. */
     bool idle() const;
 
-    unsigned queuedTasks() const
+    /** True when the task queue can take @p tasks more tasks. */
+    bool
+    hasTaskRoom(unsigned tasks = 1) const
     {
-        return static_cast<unsigned>(_taskQueue.size());
+        return _taskQueue.size() + tasks <= _params.taskQueueDepth;
     }
 
     const SimtCoreParams &params() const { return _params; }

@@ -157,6 +157,41 @@ TEST(TcUnit, DistinctPositionsUseDistinctEngines)
     EXPECT_TRUE(tc.tryAdd(tileAt(20, 20, 0x1u), 0));
 }
 
+TEST(TcStage, NextTimeoutCycle)
+{
+    // No engine staging: nothing can time out.
+    TcUnit tc(2, 8, 4);
+    EXPECT_FALSE(tc.nextTimeoutCycle());
+
+    // The minimum over staging engines, moved by each add.
+    ASSERT_TRUE(tc.tryAdd(tileAt(0, 0, 0x000fu), 100));
+    EXPECT_EQ(tc.nextTimeoutCycle(), 108u);
+    ASSERT_TRUE(tc.tryAdd(tileAt(10, 10, 0x000fu), 103));
+    EXPECT_EQ(tc.nextTimeoutCycle(), 108u);
+    ASSERT_TRUE(tc.tryAdd(tileAt(0, 0, 0x00f0u), 106));
+    EXPECT_EQ(tc.nextTimeoutCycle(), 111u);
+
+    // It is exactly the first cycle tickTimeouts() flushes at.
+    EXPECT_FALSE(tc.tickTimeouts(110));
+    EXPECT_TRUE(tc.tickTimeouts(111));
+    EXPECT_EQ(tc.flushesTimeout, 1u);
+    EXPECT_EQ(tc.nextTimeoutCycle(), 114u);
+    EXPECT_TRUE(tc.drain());
+    EXPECT_FALSE(tc.drain());
+    EXPECT_FALSE(tc.nextTimeoutCycle());
+
+    // A full ready queue blocks every timeout flush until an issue.
+    TcUnit full(1, 8, 1);
+    ASSERT_TRUE(full.tryAdd(tileAt(0, 0, 0x000fu), 100));
+    ASSERT_TRUE(full.drain());
+    ASSERT_TRUE(full.readyQueueFull());
+    ASSERT_TRUE(full.tryAdd(tileAt(10, 10, 0x000fu), 105));
+    EXPECT_FALSE(full.nextTimeoutCycle());
+    EXPECT_FALSE(full.tickTimeouts(200));
+    full.popReady();
+    EXPECT_EQ(full.nextTimeoutCycle(), 113u);
+}
+
 TEST(ShaderBuilder, EarlyZWhenEligible)
 {
     ShaderBuilder builder;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mem/functional_memory.hh"
 #include "noc/crossbar.hh"
@@ -131,6 +134,96 @@ TEST(Clocked, TicksUntilIdleThenReactivates)
     ticker.activate();
     eq.runUntil();
     EXPECT_EQ(ticker.ticks, 5);
+}
+
+namespace
+{
+
+/** Sleeps blocked after every tick, with the next planned timed wake. */
+struct Sleeper : public Clocked
+{
+    std::vector<Cycle> ticked;
+    std::deque<Cycle> wakes;
+
+    Sleeper(ClockDomain &domain, std::deque<Cycle> plan)
+        : Clocked(domain, "sleeper"), wakes(std::move(plan))
+    {}
+
+    bool
+    tick() override
+    {
+        ticked.push_back(curCycle());
+        if (!wakes.empty()) {
+            sleepBlocked(wakes.front());
+            wakes.pop_front();
+        }
+        return false;
+    }
+};
+
+/** Appends its id to a shared log on every tick, then goes idle. */
+struct OrderLogger : public Clocked
+{
+    std::vector<int> &log;
+    int id;
+
+    OrderLogger(ClockDomain &domain, std::vector<int> &order, int n,
+                int priority)
+        : Clocked(domain, "logger" + std::to_string(n), priority),
+          log(order), id(n)
+    {}
+
+    bool
+    tick() override
+    {
+        log.push_back(id);
+        return false;
+    }
+};
+
+} // namespace
+
+TEST(Clocked, TimedWakeTicksAtRequestedCycle)
+{
+    EventQueue eq;
+    ClockDomain clk(eq, 1000, "clk");
+    Sleeper sleeper(clk, {10});
+    sleeper.activate();
+    eq.runUntil();
+    EXPECT_EQ(sleeper.ticked, (std::vector<Cycle>{0, 10}));
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(Clocked, ActivatePullsTimedWakeForwardOncePerCycle)
+{
+    EventQueue eq;
+    ClockDomain clk(eq, 1000, "clk");
+    Sleeper sleeper(clk, {10, 20, 30});
+    sleeper.activate();
+    // Mid-cycle: the next edge.
+    EventFunction mid([&] { sleeper.activate(); }, "mid");
+    eq.schedule(mid, 4500);
+    // On an edge the sleeper already ticked at: the edge after, not a
+    // second tick in cycle 5.
+    EventFunction same([&] { sleeper.activate(); }, "same");
+    eq.schedule(same, 5000);
+    eq.runUntil();
+    EXPECT_EQ(sleeper.ticked, (std::vector<Cycle>{0, 5, 6, 30}));
+}
+
+TEST(Clocked, LowerPriorityTicksAheadOfSameEdgePeers)
+{
+    EventQueue eq;
+    ClockDomain clk(eq, 1000, "clk");
+    std::vector<int> order;
+    OrderLogger a(clk, order, 1, Event::clockPriority);
+    OrderLogger b(clk, order, 2, Event::clockPriority);
+    OrderLogger first(clk, order, 3, Event::clockPriority - 1);
+    a.activate();
+    b.activate();
+    first.activate(); // Scheduled last, runs first.
+    eq.runUntil();
+    EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
 }
 
 TEST(Stats, ScalarAndDistributionDump)
