@@ -33,3 +33,26 @@ TEST(SocSmoke, DashAndHmcRun) {
         EXPECT_EQ(soc.app().frames().size(), 2u) << soc::memConfigName(cfg);
     }
 }
+
+TEST(SocSmoke, DashEventsBoundedByQuanta) {
+    // DASH's probabilistic switch is evaluated lazily, so the only DASH
+    // events are the clustering quantum (1M cycles of the 2 GHz CPU).
+    // A switch timer would add one event every 250 ns.
+    soc::SocParams p;
+    p.memConfig = soc::MemConfig::DCB;
+    p.model = scenes::WorkloadId::M4_Triangles;
+    p.frames = 2;
+    p.fbWidth = 192;
+    p.fbHeight = 144;
+    p.cpuPrepRequests = 300;
+    ASSERT_EQ(p.cpuClockMHz, 2000.0);
+    const Tick quantum = ticksFromUs(500.0);
+    soc::SocTop soc(p);
+    soc.sim().enableProfiling();
+    soc.run(ticksFromMs(500.0));
+    ASSERT_EQ(soc.app().frames().size(), 2u);
+    const Tick elapsed = soc.sim().curTick();
+    ASSERT_GT(elapsed, quantum);
+    EXPECT_LE(soc.sim().profiler().eventsFor("dash"),
+              elapsed / quantum + 1);
+}
