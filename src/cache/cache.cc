@@ -1,7 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "sim/serialize/packet_serialize.hh"
 #include "sim/serialize/registry.hh"
@@ -228,25 +226,31 @@ Cache::hangDiagnostics(std::ostream &os) const
 void
 Cache::respondLater(MemPacket *pkt)
 {
+    // The hit latency is fixed, so responses queue in tick order and
+    // the event, when pending, is already due at or before this one.
     Tick when = curTick() + _domain.cyclesToTicks(_params.hitLatency);
-    _respQueue.emplace(when, pkt);
+#ifdef EMERALD_CHECKS
+    panic_if(!_respQueue.empty() && when < _respQueue.back().first,
+             "%s: response due at %llu queued behind one due at %llu",
+             name().c_str(), (unsigned long long)when,
+             (unsigned long long)_respQueue.back().first);
+#endif
+    _respQueue.emplace_back(when, pkt);
     if (!_respEvent.scheduled())
         schedule(_respEvent, when);
-    else if (_respEvent.when() > when)
-        reschedule(_respEvent, when);
 }
 
 void
 Cache::deliverResponses()
 {
     Tick now = curTick();
-    while (!_respQueue.empty() && _respQueue.begin()->first <= now) {
-        MemPacket *pkt = _respQueue.begin()->second;
-        _respQueue.erase(_respQueue.begin());
+    while (!_respQueue.empty() && _respQueue.front().first <= now) {
+        MemPacket *pkt = _respQueue.front().second;
+        _respQueue.pop_front();
         completePacket(pkt);
     }
     if (!_respQueue.empty())
-        schedule(_respEvent, _respQueue.begin()->first);
+        schedule(_respEvent, _respQueue.front().first);
 }
 
 void
@@ -268,16 +272,9 @@ Cache::serialize(CheckpointOut &out) const
     out.putU64Vec("line.last_use", last_use);
     out.putU64("use_counter", _useCounter);
 
-    // The MSHR file is a hash map; sort by line address so the same
-    // cache state always produces byte-identical sections.
-    std::vector<const Mshr *> mshrs;
-    mshrs.reserve(_mshrs.inUse());
-    for (const auto &kv : _mshrs.entries())
-        mshrs.push_back(&kv.second);
-    std::sort(mshrs.begin(), mshrs.end(),
-              [](const Mshr *a, const Mshr *b) {
-                  return a->lineAddr < b->lineAddr;
-              });
+    // Sorted by line address, not slot, so the same cache state
+    // always produces byte-identical sections.
+    std::vector<const Mshr *> mshrs = _mshrs.sortedEntries();
     out.putU64("num_mshrs", mshrs.size());
     for (std::size_t i = 0; i < mshrs.size(); ++i) {
         const Mshr &mshr = *mshrs[i];
@@ -359,7 +356,7 @@ Cache::unserialize(CheckpointIn &in)
         std::string prefix = strprintf("resp%llu",
                                        (unsigned long long)i);
         Tick when = in.getTick(prefix + ".when");
-        _respQueue.emplace(when, getPacket(in, prefix, pool, reg));
+        _respQueue.emplace_back(when, getPacket(in, prefix, pool, reg));
     }
 
     _downstreamBlocked = in.getBool("downstream_blocked");

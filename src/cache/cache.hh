@@ -15,7 +15,7 @@
 #define EMERALD_CACHE_CACHE_HH
 
 #include <deque>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "cache/mshr.hh"
@@ -146,7 +146,8 @@ class Cache : public SimObject,
     std::deque<MemPacket *> _sendQueue;
     /** Downstream rejected our head; waiting for retryRequest(). */
     bool _downstreamBlocked = false;
-    std::multimap<Tick, MemPacket *> _respQueue;
+    /** Upstream responses with their due ticks, in tick order. */
+    std::deque<std::pair<Tick, MemPacket *>> _respQueue;
 
     EventFunction _sendEvent;
     EventFunction _respEvent;

@@ -301,12 +301,11 @@ SimtCore::launchQueuedTasks()
         }
 
         if (!warp.task.initFetch.empty()) {
-            auto lines = coalesce(warp.task.initFetch,
-                                  _params.l1c.lineSize);
+            coalesce(warp.task.initFetch, _params.l1c.lineSize, _lines);
             unsigned id = allocMemInstr(
                 static_cast<unsigned>(free_slot), SlotList{}, true);
             MemInstrState &state = _memInstrs[id];
-            for (const CoalescedAccess &line : lines) {
+            for (const CoalescedAccess &line : _lines) {
                 if (line.write)
                     continue;
                 ++state.outstanding;
@@ -408,10 +407,9 @@ SimtCore::executeWarp(unsigned slot)
       case LatencyClass::MemGlobal:
       case LatencyClass::Tex:
       case LatencyClass::Rop: {
-        auto lines = coalesce(_effects.accesses,
-                              _params.l1d.lineSize);
+        coalesce(_effects.accesses, _params.l1d.lineSize, _lines);
         unsigned reads = 0;
-        for (const CoalescedAccess &line : lines) {
+        for (const CoalescedAccess &line : _lines) {
             if (!line.write)
                 ++reads;
         }
@@ -421,7 +419,7 @@ SimtCore::executeWarp(unsigned slot)
             if (!dests.empty())
                 _scoreboard.markPending(slot, dests);
             ++warp.pendingMemInstrs;
-            for (const CoalescedAccess &line : lines) {
+            for (const CoalescedAccess &line : _lines) {
                 _lsuQueue.push_back({line.lineAddr, line.write,
                                      _effects.kind,
                                      line.write
@@ -430,7 +428,7 @@ SimtCore::executeWarp(unsigned slot)
             }
         } else {
             // Stores only (or fully predicated-off): no read deps.
-            for (const CoalescedAccess &line : lines) {
+            for (const CoalescedAccess &line : _lines) {
                 _lsuQueue.push_back(
                     {line.lineAddr, line.write, _effects.kind, -1});
             }

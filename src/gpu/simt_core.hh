@@ -273,6 +273,7 @@ class SimtCore : public SimObject,
     unsigned _traceClient = 0;
 
     isa::StepEffects _effects; // Reused each issue to avoid churn.
+    std::vector<CoalescedAccess> _lines; // coalesce() output, reused.
 };
 
 } // namespace emerald::gpu

@@ -114,15 +114,10 @@ DramChannel::scheduleIssue(Tick when)
 void
 DramChannel::scheduleCompletion()
 {
-    if (_inflight.empty())
-        return;
-    Tick first = _inflight.begin()->first;
-    if (_completeEvent.scheduled()) {
-        if (_completeEvent.when() > first)
-            reschedule(_completeEvent, first);
-        return;
-    }
-    schedule(_completeEvent, first);
+    // A pending event is already due at the head's tick: later issues
+    // only append later completions.
+    if (!_inflight.empty() && !_completeEvent.scheduled())
+        schedule(_completeEvent, _inflight.front().first);
 }
 
 Tick
@@ -237,7 +232,13 @@ DramChannel::tryIssue()
     }
 
     _scheduler.serviced(*pkt, now);
-    _inflight.emplace(done, pkt);
+#ifdef EMERALD_CHECKS
+    panic_if(!_inflight.empty() && done < _inflight.back().first,
+             "%s: completion at %llu issued behind one at %llu",
+             name().c_str(), (unsigned long long)done,
+             (unsigned long long)_inflight.back().first);
+#endif
+    _inflight.emplace_back(done, pkt);
     scheduleCompletion();
 
     // The dequeued slot is capacity a rejected requestor was waiting
@@ -358,7 +359,7 @@ DramChannel::unserialize(CheckpointIn &in)
     for (std::uint64_t i = 0; i < num_inflight; ++i) {
         std::string prefix = strprintf("in%llu", (unsigned long long)i);
         Tick when = in.getTick(prefix + ".when");
-        _inflight.emplace(when, getPacket(in, prefix, pool, reg));
+        _inflight.emplace_back(when, getPacket(in, prefix, pool, reg));
     }
 
     _retries.unserialize(in, "retry", reg);
@@ -368,9 +369,9 @@ void
 DramChannel::completeHead()
 {
     Tick now = curTick();
-    while (!_inflight.empty() && _inflight.begin()->first <= now) {
-        MemPacket *pkt = _inflight.begin()->second;
-        _inflight.erase(_inflight.begin());
+    while (!_inflight.empty() && _inflight.front().first <= now) {
+        MemPacket *pkt = _inflight.front().second;
+        _inflight.pop_front();
         completePacket(pkt);
     }
     scheduleCompletion();

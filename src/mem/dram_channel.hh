@@ -8,7 +8,8 @@
 #define EMERALD_MEM_DRAM_CHANNEL_HH
 
 #include <cstddef>
-#include <map>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "mem/dram.hh"
@@ -138,8 +139,12 @@ class DramChannel : public SimObject
     RetryList _retries;
     Tick _busFreeTick = 0;
 
-    /** Issued requests waiting for their completion tick. */
-    std::multimap<Tick, MemPacket *> _inflight;
+    /**
+     * Issued requests waiting for their completion tick, in issue
+     * order. Each completion ends a data burst on the shared bus after
+     * the previous one, so that is also tick order.
+     */
+    std::deque<std::pair<Tick, MemPacket *>> _inflight;
 
     EventFunction _issueEvent;
     EventFunction _completeEvent;

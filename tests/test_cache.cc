@@ -4,6 +4,7 @@
 
 #include "cache/cache.hh"
 #include "sim/random.hh"
+#include "sim/serialize/serialize.hh"
 #include "sim/simulation.hh"
 
 using namespace emerald;
@@ -42,6 +43,8 @@ struct Requestor : public MemClient
 {
     unsigned responses = 0;
     Tick lastResponse = 0;
+    /** Address of every response, in completion order. */
+    std::vector<Addr> order;
     Simulation *sim = nullptr;
 
     void
@@ -49,6 +52,7 @@ struct Requestor : public MemClient
     {
         ++responses;
         lastResponse = sim->curTick();
+        order.push_back(pkt->addr);
         delete pkt;
     }
 };
@@ -212,6 +216,105 @@ TEST(Cache, PostedWritesComplete)
     ASSERT_TRUE(rig.cache.tryAccept(pkt));
     rig.sim.run(); // Must not leak or crash; fill + dirty install.
     EXPECT_TRUE(rig.cache.isCached(0x40));
+}
+
+TEST(Cache, SameTickResponsesCompleteInArrivalOrder)
+{
+    Rig rig(smallCache());
+    ASSERT_TRUE(rig.read(0x1000));
+    ASSERT_TRUE(rig.read(0x2000));
+    rig.sim.run();
+    rig.client.order.clear();
+
+    // Three hits accepted in one tick share a due tick.
+    ASSERT_TRUE(rig.read(0x2000));
+    ASSERT_TRUE(rig.read(0x1000));
+    ASSERT_TRUE(rig.read(0x2004));
+    rig.sim.run();
+    EXPECT_EQ(rig.client.order,
+              (std::vector<Addr>{0x2000, 0x1000, 0x2004}));
+
+    // A fill answers its merged targets in arrival order, all at once.
+    rig.client.order.clear();
+    ASSERT_TRUE(rig.read(0x5008));
+    ASSERT_TRUE(rig.read(0x5000));
+    ASSERT_TRUE(rig.read(0x5004));
+    rig.sim.run();
+    EXPECT_EQ(rig.client.order,
+              (std::vector<Addr>{0x5008, 0x5000, 0x5004}));
+}
+
+TEST(Cache, CheckpointListsMshrsByLineAddress)
+{
+    Rig rig(smallCache());
+    rig.sim.checkpointRegistry().registerClient("client", rig.client);
+    // Slots fill in miss order; the section lists lines in order.
+    ASSERT_TRUE(rig.read(0x3000));
+    ASSERT_TRUE(rig.read(0x1000));
+    ASSERT_TRUE(rig.read(0x2000));
+    ASSERT_TRUE(rig.read(0x1004));
+
+    CheckpointOut out("l1");
+    rig.cache.serialize(out);
+    const std::string &bytes = out.bytes();
+    CheckpointIn in(out.sectionName(), bytes.data(), bytes.size());
+    ASSERT_EQ(in.getU64("num_mshrs"), 3u);
+    EXPECT_EQ(in.getU64("mshr0.line_addr"), 0x1000u);
+    EXPECT_EQ(in.getU64("mshr0.num_targets"), 2u);
+    EXPECT_EQ(in.getU64("mshr1.line_addr"), 0x2000u);
+    EXPECT_EQ(in.getU64("mshr2.line_addr"), 0x3000u);
+    rig.sim.run();
+    EXPECT_EQ(rig.client.responses, 4u);
+}
+
+TEST(MshrFile, CapacityMergingAndReleaseInAnyOrder)
+{
+    MshrFile file(4, 3);
+    MemPacket pkt(0, 4, false, TrafficClass::Gpu, AccessKind::GlobalData,
+                  0);
+    for (Addr line : {0x4000, 0x1000, 0x3000, 0x2000}) {
+        ASSERT_TRUE(file.available());
+        Mshr &mshr = file.allocate(line);
+        EXPECT_EQ(mshr.lineAddr, line);
+        EXPECT_TRUE(mshr.targets.empty());
+    }
+    EXPECT_FALSE(file.available());
+    EXPECT_EQ(file.inUse(), 4u);
+    EXPECT_EQ(file.find(0x5000), nullptr);
+
+    // Merging stops at targetsPerMshr.
+    Mshr *merged = file.find(0x1000);
+    ASSERT_NE(merged, nullptr);
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(file.canAddTarget(*merged));
+        merged->targets.push_back(&pkt);
+    }
+    EXPECT_FALSE(file.canAddTarget(*merged));
+    file.find(0x3000)->targets.push_back(&pkt);
+
+    // Release out of allocation order; the survivors keep their state.
+    file.release(0x1000);
+    file.release(0x4000);
+    EXPECT_EQ(file.inUse(), 2u);
+    EXPECT_EQ(file.find(0x1000), nullptr);
+    EXPECT_EQ(file.find(0x4000), nullptr);
+    ASSERT_NE(file.find(0x3000), nullptr);
+    EXPECT_EQ(file.find(0x3000)->targets.size(), 1u);
+
+    // A reused slot starts empty but keeps its targets' capacity.
+    Mshr &reused = file.allocate(0x5000);
+    EXPECT_TRUE(reused.targets.empty());
+    EXPECT_FALSE(reused.fillSent);
+    file.allocate(0x0);
+    EXPECT_FALSE(file.available());
+    EXPECT_GE(file.find(0x5000)->targets.capacity() +
+                  file.find(0x0)->targets.capacity(),
+              3u);
+
+    std::vector<Addr> sorted;
+    for (const Mshr *mshr : file.sortedEntries())
+        sorted.push_back(mshr->lineAddr);
+    EXPECT_EQ(sorted, (std::vector<Addr>{0x0, 0x2000, 0x3000, 0x5000}));
 }
 
 /**

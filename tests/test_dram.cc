@@ -42,6 +42,18 @@ readPkt(Addr addr, Catcher *c, TrafficClass tc = TrafficClass::Gpu,
                          req, c, 0);
 }
 
+/** FR-FCFS that records the order it issues requests in. */
+struct IssueRecorder : public FrfcfsScheduler
+{
+    std::vector<Addr> issued;
+
+    void
+    serviced(const MemPacket &pkt, Tick) override
+    {
+        issued.push_back(pkt.addr);
+    }
+};
+
 } // namespace
 
 TEST(DramTiming, LpddrDerivation)
@@ -279,3 +291,34 @@ TEST_P(DramRandomTraffic, AllRequestsCompleteExactlyOnce)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DramRandomTraffic,
                          ::testing::Values(1u, 2u, 3u, 7u, 13u));
+
+TEST(DramChannel, CompletionsStayInIssueOrder)
+{
+    Simulation sim;
+    Catcher catcher;
+    catcher.sim = &sim;
+    IssueRecorder sched;
+    MemorySystemParams mp = params2ch();
+    mp.geom.channels = 1;
+    MemorySystem mem(sim, "mem", mp, sched);
+
+    // Row conflicts, row hits and other banks, all queued at once:
+    // FR-FCFS issues them out of arrival order.
+    const Addr addrs[] = {0,        1 << 20, 256,     4096,
+                          1 << 21, 512,     8192,    (1 << 20) + 256};
+    for (Addr addr : addrs)
+        ASSERT_TRUE(mem.tryAccept(readPkt(addr, &catcher)));
+    sim.run();
+
+    ASSERT_EQ(catcher.done.size(), std::size(addrs));
+    ASSERT_EQ(sched.issued.size(), std::size(addrs));
+    EXPECT_NE(sched.issued, std::vector<Addr>(std::begin(addrs),
+                                              std::end(addrs)));
+    for (std::size_t i = 0; i < catcher.done.size(); ++i) {
+        EXPECT_EQ(catcher.done[i].second, sched.issued[i]) << i;
+        if (i > 0) {
+            EXPECT_GT(catcher.done[i].first, catcher.done[i - 1].first)
+                << i;
+        }
+    }
+}

@@ -132,7 +132,8 @@ TEST(Coalescer, SequentialAccessesShareLine)
     std::vector<ThreadMemAccess> accesses;
     for (unsigned i = 0; i < 32; ++i)
         accesses.push_back({0x1000 + i * 4, 4, false});
-    auto lines = coalesce(accesses, 128);
+    std::vector<CoalescedAccess> lines;
+    coalesce(accesses, 128, lines);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0].lineAddr, 0x1000u);
 }
@@ -142,7 +143,8 @@ TEST(Coalescer, StridedAccessesSplit)
     std::vector<ThreadMemAccess> accesses;
     for (unsigned i = 0; i < 32; ++i)
         accesses.push_back({Addr(i) * 128, 4, false});
-    auto lines = coalesce(accesses, 128);
+    std::vector<CoalescedAccess> lines;
+    coalesce(accesses, 128, lines);
     EXPECT_EQ(lines.size(), 32u);
 }
 
@@ -152,7 +154,8 @@ TEST(Coalescer, ReadsAndWritesStayDistinct)
         {0x1000, 4, false},
         {0x1004, 4, true},
     };
-    auto lines = coalesce(accesses, 128);
+    std::vector<CoalescedAccess> lines;
+    coalesce(accesses, 128, lines);
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_FALSE(lines[0].write);
     EXPECT_TRUE(lines[1].write);
@@ -165,7 +168,9 @@ TEST(Coalescer, PreservesFirstTouchOrder)
         {0x1000, 4, false},
         {0x2004, 4, false},
     };
-    auto lines = coalesce(accesses, 128);
+    // A reused buffer: its previous contents are dropped.
+    std::vector<CoalescedAccess> lines = {{0x9000, true}};
+    coalesce(accesses, 128, lines);
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(lines[0].lineAddr, 0x2000u);
     EXPECT_EQ(lines[1].lineAddr, 0x1000u);
