@@ -40,6 +40,19 @@ GraphicsPipeline::GraphicsPipeline(Simulation &sim,
       _gpu(gpu), _params(params), _fbWidth(fb_width),
       _fbHeight(fb_height)
 {
+    // tickClusterTc queues all warps of a TC instance on one core at
+    // once, so a shallower task queue never admits a fully covered tile
+    // and the frame never ends.
+    const auto tile_warps =
+        static_cast<unsigned>(divCeil(tcTilePx * tcTilePx, warpSize));
+    for (unsigned i = 0; i < gpu.numCores(); ++i) {
+        unsigned depth = gpu.core(i).params().taskQueueDepth;
+        fatal_if(depth < tile_warps,
+                 "%s: core %u has task queue depth %u, below the %u "
+                 "fragment warps of a fully covered %ux%u TC tile",
+                 name.c_str(), i, depth, tile_warps, tcTilePx, tcTilePx);
+    }
+
     registerProfileCounters();
     _mapping = std::make_unique<WtMapping>(fb_width, fb_height,
                                            gpu.numCores(), 1);

@@ -56,7 +56,7 @@ tightGfx()
  * Four warp slots and a two-deep task queue per core: vertex launch and
  * TC issue wait on SIMT task-queue space. Depth 2, not 1: a fully
  * covered TC tile is two fragment warps, which a one-deep queue can
- * never take.
+ * never take (RejectsTaskQueueBelowTcTileWarps).
  */
 gpu::GpuTopParams
 tightGpu()
@@ -596,4 +596,20 @@ TEST(PipelineCorrectness, TickEventsBoundedByWork)
             EXPECT_LE(ticks, 8.0 * work) << c.name << " frame " << f;
         }
     }
+}
+
+TEST(PipelineCorrectness, RejectsTaskQueueBelowTcTileWarps)
+{
+    // A fully covered 8x8 TC tile is two fragment warps, issued to one
+    // core at once: a one-deep task queue could never take it.
+    gpu::GpuTopParams gpu_params = tightGpu();
+    gpu_params.core.taskQueueDepth = 1;
+    EXPECT_DEATH(
+        {
+            soc::StandaloneGpu rig(128, 96, gpu_params);
+            core::GraphicsPipeline pipe(rig.sim(), "gfx", rig.gpu(), 128,
+                                        96, core::GfxParams{});
+        },
+        "task queue depth 1, below the 2 fragment warps of a fully "
+        "covered 8x8 TC tile");
 }
