@@ -942,15 +942,14 @@ GraphicsPipeline::tick()
     drainL2Traffic();
     maybeFinishFrame();
 
-    // Idle: only a warp completion (vertex assembly or fragment
-    // retirement) or new draws can bring work; each calls activate().
-    if (!_frameOpen || !hasLiveWork())
+    if (!_frameOpen)
         return false;
-    if (_progress || _simtQueueWait)
+    if (hasLiveWork() && (_progress || _simtQueueWait))
         return true;
 
-    // Blocked: nothing moved and no stage polls SIMT queue space, so
-    // ticking on would change nothing until a wake source fires.
+    // Blocked or idle: ticking on would change nothing until a wake
+    // source fires. Both sleep alike, so a wake lands where a pipeline
+    // polling every cycle would first have seen it.
 #ifdef EMERALD_CHECKS
     verifyBlocked();
 #endif

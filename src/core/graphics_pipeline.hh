@@ -27,12 +27,12 @@
  * Each stage marks progress at its natural point (a pop, a push, a
  * flush, an issue or a raster scan step). A tick ends in one of three
  * ways:
- *   - idle (no live work: every queue empty, only warps in flight):
- *     plain sleep; activate() ticks it at the next edge at or after now
- *   - progress, or a wait on SIMT task-queue space (vertex launch, TC
- *     issue): tick again next cycle. Queue space is polled; SimtCore
- *     has no listener for it
- *   - blocked (live work, nothing moved): Clocked::sleepBlocked(). The
+ *   - frame closed: plain sleep; beginFrame() activates it
+ *   - live work and progress, or a wait on SIMT task-queue space
+ *     (vertex launch, TC issue): tick again next cycle. Queue space is
+ *     polled; SimtCore has no listener for it
+ *   - idle (no live work: every queue empty, only warps in flight) or
+ *     blocked (live work, nothing moved): Clocked::sleepBlocked(). The
  *     wake sources are a vertex or fragment warp completion (the
  *     onComplete handlers; a fragment completion clears the TC
  *     interlock), retryRequest() from the L2 link, and a timed wake at

@@ -1,4 +1,5 @@
 #include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "scenes/procedural.hh"
 #include "scenes/shaders.hh"
 #include "scenes/workloads.hh"
+#include "sim/event_queue.hh"
 #include "soc/configs.hh"
 
 using namespace emerald;
@@ -460,11 +462,15 @@ expectGolden(const FrameGolden &got, const FrameGolden &want)
     EXPECT_EQ(got.wtSize, want.wtSize);
 }
 
-/** Render frames 0 and 1 of @p id through a fresh rig's pipeline. */
+/**
+ * Render frames 0 and 1 of @p id through a fresh rig's pipeline. With
+ * @p polled, an event after every edge activates the pipeline while a
+ * frame is open, so it ticks every cycle instead of sleeping.
+ */
 std::vector<FrameGolden>
 renderScene(const char *name, scenes::WorkloadId id, unsigned wt,
             const gpu::GpuTopParams &gpu_params,
-            const core::GfxParams &gfx)
+            const core::GfxParams &gfx, bool polled = false)
 {
     soc::StandaloneGpu rig(128, 96, gpu_params);
     core::GraphicsPipeline pipe(rig.sim(), "gfx_golden", rig.gpu(), 128,
@@ -472,6 +478,17 @@ renderScene(const char *name, scenes::WorkloadId id, unsigned wt,
     scenes::SceneRenderer scene(pipe, scenes::makeWorkload(id),
                                 rig.functionalMemory());
     pipe.setWtSize(wt);
+    EventQueue &eq = rig.sim().eventQueue();
+    ClockDomain &clock = pipe.clockDomain();
+    EventFunction poke(
+        [&] {
+            if (pipe.frameOpen())
+                pipe.activate();
+            eq.schedule(poke, clock.clockEdge(1));
+        },
+        "poke", Event::defaultPriority);
+    if (polled)
+        eq.schedule(poke, clock.clockEdge(0));
     std::vector<FrameGolden> frames;
     for (unsigned f = 0; f < 2; ++f) {
         bool done = false;
@@ -484,8 +501,61 @@ renderScene(const char *name, scenes::WorkloadId id, unsigned wt,
         frames.push_back(
             observed(name, stats, scene.framebuffer().colorHash()));
     }
+    if (poke.scheduled())
+        eq.deschedule(poke);
     return frames;
 }
+
+/** The scenes whose pipeline tick events are checked. */
+struct TickCase
+{
+    const char *name;
+    scenes::WorkloadId id;
+    gpu::GpuTopParams gpu;
+    core::GfxParams gfx;
+};
+
+std::vector<TickCase>
+tickCases()
+{
+    return {
+        {"cube", scenes::WorkloadId::W3_Cube, soc::caseStudy2GpuParams(),
+         core::GfxParams{}},
+        {"suzanne_alpha", scenes::WorkloadId::W5_SuzanneAlpha,
+         soc::caseStudy2GpuParams(), core::GfxParams{}},
+        {"teapot/tight", scenes::WorkloadId::W6_Teapot, tightGpu(),
+         tightGfx()},
+    };
+}
+
+/** Counts the events named @p name that fire at the tick of the last. */
+class SameTickRepeats : public EventInstrument
+{
+  public:
+    explicit SameTickRepeats(std::string name) : _name(std::move(name)) {}
+
+    void
+    onEvent(const std::string &name, Tick when, int,
+            std::uint64_t) override
+    {
+        if (name != _name)
+            return;
+        if (_seen && when == _last)
+            ++repeats;
+        _seen = true;
+        _last = when;
+    }
+
+    /** Forget the last tick: the next event is never a repeat. */
+    void restart() { _seen = false; }
+
+    unsigned repeats = 0;
+
+  private:
+    std::string _name;
+    bool _seen = false;
+    Tick _last = 0;
+};
 
 } // namespace
 
@@ -520,28 +590,95 @@ TEST(PipelineCorrectness, FrameTimingMatchesGolden)
     const FrameGolden want[] = {
         // name, cycles, colorHash, vertices, primsIn, primsCulled,
         // rasterTiles, hizRejects, fragments, fragWarps, wtSize
-        {"cube/wt1", 22981, 0x596537f04f12d169ULL, 36, 12, 0, 290, 46,
+        {"cube/wt1", 22910, 0x596537f04f12d169ULL, 36, 12, 0, 290, 46,
          2958, 153, 1},
-        {"cube/wt1", 2672, 0x57aa560fd6f897b1ULL, 36, 12, 0, 289, 46,
+        {"cube/wt1", 2640, 0x57aa560fd6f897b1ULL, 36, 12, 0, 289, 46,
          2952, 151, 1},
-        {"cube/wt6", 23649, 0x596537f04f12d169ULL, 36, 12, 0, 290, 46,
+        {"cube/wt6", 23893, 0x596537f04f12d169ULL, 36, 12, 0, 290, 46,
          2958, 166, 6},
-        {"cube/wt6", 6271, 0x57aa560fd6f897b1ULL, 36, 12, 0, 289, 46,
+        {"cube/wt6", 6265, 0x57aa560fd6f897b1ULL, 36, 12, 0, 289, 46,
          2952, 165, 6},
-        {"suzanne_alpha", 56039, 0xbf8bbe45302f2918ULL, 9216, 3072, 92,
-         2567, 0, 3846, 466, 1},
-        {"suzanne_alpha", 6424, 0x68f054bc5a727b27ULL, 9216, 3072, 94,
-         2540, 0, 3854, 433, 1},
-        {"cube/tight", 23264, 0x596537f04f12d169ULL, 36, 12, 0, 290, 46,
+        {"suzanne_alpha", 55845, 0xbf8bbe45302f2918ULL, 9216, 3072, 92,
+         2567, 0, 3846, 479, 1},
+        {"suzanne_alpha", 6525, 0x68f054bc5a727b27ULL, 9216, 3072, 94,
+         2540, 0, 3854, 430, 1},
+        {"cube/tight", 23266, 0x596537f04f12d169ULL, 36, 12, 0, 290, 46,
          2958, 160, 1},
-        {"cube/tight", 2689, 0x57aa560fd6f897b1ULL, 36, 12, 0, 289, 46,
+        {"cube/tight", 2691, 0x57aa560fd6f897b1ULL, 36, 12, 0, 289, 46,
          2952, 158, 1},
-        {"occluder", 9927, 0x8300d809bc19a325ULL, 12, 4, 0, 912, 720,
+        {"occluder", 9930, 0x8300d809bc19a325ULL, 12, 4, 0, 912, 720,
          13056, 458, 1},
     };
     ASSERT_EQ(got.size(), std::size(want));
     for (std::size_t i = 0; i < got.size(); ++i)
         expectGolden(got[i], want[i]);
+}
+
+TEST(PipelineCorrectness, SleepMatchesPolledReference)
+{
+    // The pipeline sleeps whenever no stage moved and relies on its
+    // wake sources (warp completions, L2 retries, TC timeouts, new
+    // draws) to tick again. A pipeline ticked every cycle is the
+    // reference: every frame must match it exactly.
+    gpu::GpuTopParams table7 = soc::caseStudy2GpuParams();
+    struct Case
+    {
+        const char *name;
+        scenes::WorkloadId id;
+        unsigned wt;
+        gpu::GpuTopParams gpu;
+        core::GfxParams gfx;
+    };
+    const Case cases[] = {
+        {"cube/wt1", scenes::WorkloadId::W3_Cube, 1, table7,
+         core::GfxParams{}},
+        {"cube/wt6", scenes::WorkloadId::W3_Cube, 6, table7,
+         core::GfxParams{}},
+        {"suzanne_alpha", scenes::WorkloadId::W5_SuzanneAlpha, 1, table7,
+         core::GfxParams{}},
+        {"teapot/tight", scenes::WorkloadId::W6_Teapot, 1, tightGpu(),
+         tightGfx()},
+    };
+    for (const Case &c : cases) {
+        std::vector<FrameGolden> slept =
+            renderScene(c.name, c.id, c.wt, c.gpu, c.gfx);
+        std::vector<FrameGolden> polled =
+            renderScene(c.name, c.id, c.wt, c.gpu, c.gfx, true);
+        ASSERT_EQ(slept.size(), polled.size());
+        for (std::size_t f = 0; f < slept.size(); ++f) {
+            SCOPED_TRACE(testing::Message() << "frame " << f);
+            expectGolden(slept[f], polled[f]);
+        }
+    }
+}
+
+TEST(PipelineCorrectness, NeverTicksTwiceAtOneTick)
+{
+    // While a frame is open, a wake that comes after the pipeline's
+    // tick at an edge lands on the next edge, where a pipeline polling
+    // every cycle would first see it: the pipeline never ticks twice
+    // at one tick.
+    for (const TickCase &c : tickCases()) {
+        soc::StandaloneGpu rig(128, 96, c.gpu);
+        core::GraphicsPipeline pipe(rig.sim(), "gfx_ticks", rig.gpu(),
+                                    128, 96, c.gfx);
+        scenes::SceneRenderer scene(pipe, scenes::makeWorkload(c.id),
+                                    rig.functionalMemory());
+        SameTickRepeats repeats("gfx_ticks.tick");
+        ASSERT_EQ(rig.sim().eventQueue().instrument(), nullptr);
+        rig.sim().eventQueue().setInstrument(&repeats);
+        for (unsigned f = 0; f < 2; ++f) {
+            // The tick that closed the last frame may share the tick
+            // that opens this one.
+            repeats.restart();
+            bool done = false;
+            scene.renderFrame(f,
+                              [&](const core::FrameStats &) { done = true; });
+            ASSERT_TRUE(rig.runUntil([&] { return done; })) << c.name;
+        }
+        rig.sim().eventQueue().setInstrument(nullptr);
+        EXPECT_EQ(repeats.repeats, 0u) << c.name;
+    }
 }
 
 TEST(PipelineCorrectness, TickEventsBoundedByWork)
@@ -553,22 +690,7 @@ TEST(PipelineCorrectness, TickEventsBoundedByWork)
     // (teapot/tight polls the most). A pipeline that ticks whenever any
     // stage holds work, blocked or not, takes 16-55x on each first
     // frame, while cold caches keep warps long.
-    struct Case
-    {
-        const char *name;
-        scenes::WorkloadId id;
-        gpu::GpuTopParams gpu;
-        core::GfxParams gfx;
-    };
-    const Case cases[] = {
-        {"cube", scenes::WorkloadId::W3_Cube,
-         soc::caseStudy2GpuParams(), core::GfxParams{}},
-        {"suzanne_alpha", scenes::WorkloadId::W5_SuzanneAlpha,
-         soc::caseStudy2GpuParams(), core::GfxParams{}},
-        {"teapot/tight", scenes::WorkloadId::W6_Teapot, tightGpu(),
-         tightGfx()},
-    };
-    for (const Case &c : cases) {
+    for (const TickCase &c : tickCases()) {
         soc::StandaloneGpu rig(128, 96, c.gpu);
         core::GraphicsPipeline pipe(rig.sim(), "gfx_ticks", rig.gpu(),
                                     128, 96, c.gfx);
