@@ -210,44 +210,33 @@ GraphicsPipeline::drawFullyDrained() const
     if (_vertexWarpsOutstanding > 0 || _vertexWarpsInFlight > 0)
         return false;
     for (const auto &cluster : _clusters) {
-        if (!cluster.pmrb.empty() || !cluster.setupQueue.empty() ||
-            cluster.raster || !cluster.fineQueue.empty() ||
-            !cluster.tc->empty()) {
+        if (!cluster.emptyAboveTc() || !cluster.tc->empty())
             return false;
-        }
     }
     return _fragWarpsOutstanding == 0;
 }
 
 void
-GraphicsPipeline::pushL2Read(Addr addr, AccessKind kind)
+GraphicsPipeline::pushL2(Addr addr, bool is_write)
 {
     _l2Traffic.push_back(sim().packetPool().alloc(
-        addr & ~Addr(127), 128, false, TrafficClass::Gpu, kind,
-        gpu::gpuRequestorId, nullptr));
+        addr & ~Addr(127), 128, is_write, TrafficClass::Gpu,
+        AccessKind::Vertex, gpu::gpuRequestorId, nullptr));
 }
 
-void
-GraphicsPipeline::pushL2Write(Addr addr, AccessKind kind)
-{
-    _l2Traffic.push_back(sim().packetPool().alloc(
-        addr & ~Addr(127), 128, true, TrafficClass::Gpu, kind,
-        gpu::gpuRequestorId, nullptr));
-}
-
-void
+bool
 GraphicsPipeline::drainL2Traffic()
 {
-    if (_l2Blocked)
-        return;
-    while (!_l2Traffic.empty()) {
+    bool moved = false;
+    while (!_l2Blocked && !_l2Traffic.empty()) {
         if (!_l2Link->offer(_l2Traffic.front(), *this)) {
             _l2Blocked = true;
-            return;
+            break;
         }
         _l2Traffic.pop_front();
-        _progress = true;
+        moved = true;
     }
+    return moved;
 }
 
 void
@@ -281,10 +270,8 @@ GraphicsPipeline::launchVertexWarp()
             break;
         }
     }
-    if (core_idx == num_cores) {
-        _simtQueueWait = true;
+    if (core_idx == num_cores)
         return;
-    }
 
     unsigned base_prim = _nextPrim;
     unsigned prim_count = std::min(cap, total_prims - base_prim);
@@ -330,16 +317,14 @@ GraphicsPipeline::launchVertexWarp()
     task.initFetchKind = AccessKind::Vertex;
 
     task.onComplete = [this, first_seq, base_prim, prim_count,
-                       first_vert, vert_count](WarpTask &,
-                                               ThreadContext *threads) {
-        assembleVertexWarp(first_seq, base_prim, prim_count, first_vert,
-                           vert_count, threads);
+                       vert_count](WarpTask &, ThreadContext *threads) {
+        assembleVertexWarp(first_seq, base_prim, prim_count, vert_count,
+                           threads);
     };
 
     bool ok = _gpu.core(core_idx).tryAddTask(std::move(task));
     panic_if(!ok, "core rejected vertex warp after space check");
     _nextCoreRR = (core_idx + 1) % num_cores;
-    _progress = true;
 
     _nextPrim += prim_count;
     _seqCounter += prim_count;
@@ -352,7 +337,7 @@ GraphicsPipeline::launchVertexWarp()
 void
 GraphicsPipeline::assembleVertexWarp(std::uint64_t first_seq,
                                      unsigned base_prim,
-                                     unsigned prim_count, unsigned,
+                                     unsigned prim_count,
                                      unsigned vert_count,
                                      isa_threads_t threads)
 {
@@ -460,7 +445,7 @@ GraphicsPipeline::assembleVertexWarp(std::uint64_t first_seq,
                      (first_seq % 4096) * _params.ovbVertexBytes * 3;
     for (unsigned off = 0;
          off < vert_count * _params.ovbVertexBytes; off += 128) {
-        pushL2Write(ovb_first + off, AccessKind::Vertex);
+        pushL2(ovb_first + off, /*is_write=*/true);
     }
 
     // VPO: cluster masks and PMRB delivery (paper Fig. 6).
@@ -484,29 +469,32 @@ GraphicsPipeline::assembleVertexWarp(std::uint64_t first_seq,
     activate();
 }
 
-void
-GraphicsPipeline::tickVertexDistribution()
+bool
+GraphicsPipeline::vertexCredit() const
 {
-    if (!_activeDraw)
-        return;
-    if (_nextPrim >= _activeDraw->primitiveCount())
-        return;
-    if (_vertexWarpsInFlight >= _params.maxVertexWarpsInFlight)
-        return;
-    launchVertexWarp();
+    return _activeDraw && _nextPrim < _activeDraw->primitiveCount() &&
+           _vertexWarpsInFlight < _params.maxVertexWarpsInFlight;
 }
 
-void
+bool
+GraphicsPipeline::tickVertexDistribution()
+{
+    if (!vertexCredit())
+        return false;
+    // Either launches a warp or polls SIMT task-queue space.
+    launchVertexWarp();
+    return true;
+}
+
+bool
 GraphicsPipeline::tickClusterPmrb(ClusterState &cluster)
 {
     bool ooo = oooRelease();
-    while (ooo ? cluster.pmrb.anyReady() : cluster.pmrb.headReady()) {
-        if (cluster.setupQueue.size() >= _params.setupQueueDepth)
-            return;
-
-        PrimitiveMask mask =
-            ooo ? cluster.pmrb.popAnyReady() : cluster.pmrb.popHead();
-        _progress = true;
+    bool moved = false;
+    while (cluster.pmrb.ready(ooo) &&
+           cluster.setupQueue.size() < _params.setupQueueDepth) {
+        PrimitiveMask mask = cluster.pmrb.pop(ooo);
+        moved = true;
         std::uint32_t bits = mask.bits;
         for (unsigned slot = 0; slot < mask.count; ++slot) {
             if (!(bits & (1u << slot)))
@@ -527,24 +515,23 @@ GraphicsPipeline::tickClusterPmrb(ClusterState &cluster)
             --_vertexWarpsInFlight;
         }
     }
+    return moved;
 }
 
-void
+bool
 GraphicsPipeline::tickClusterSetup(ClusterState &cluster)
 {
     if (cluster.raster || cluster.setupQueue.empty())
-        return;
+        return false;
     SetupItem item = std::move(cluster.setupQueue.front());
     cluster.setupQueue.pop_front();
-    _progress = true;
 
     // Setup fetches the three shaded vertices from L2 (paper: the
     // setup stage uses primitive IDs to fetch vertex data from L2).
     Addr base = _params.ovbBase +
                 (item.prim->seq % 4096) * _params.ovbVertexBytes * 3;
     for (unsigned v = 0; v < 3; ++v)
-        pushL2Read(base + v * _params.ovbVertexBytes,
-                   AccessKind::Vertex);
+        pushL2(base + v * _params.ovbVertexBytes, /*is_write=*/false);
 
     RasterJob job;
     job.holder = std::move(item.holder);
@@ -553,14 +540,15 @@ GraphicsPipeline::tickClusterSetup(ClusterState &cluster)
     job.tx = item.prim->tris.empty() ? 0 : item.prim->tris[0].tileX0;
     job.ty = item.prim->tris.empty() ? 0 : item.prim->tris[0].tileY0;
     cluster.raster.emplace(std::move(job));
+    return true;
 }
 
-void
+bool
 GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
                                     ClusterState &cluster)
 {
     if (!cluster.raster)
-        return;
+        return false;
     RasterJob &job = *cluster.raster;
     const DrawCall &draw = *_activeDraw;
 
@@ -570,7 +558,7 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
     // A held tile already passed raster and Hi-Z: it goes out first.
     if (job.pending) {
         if (cluster.fineQueue.size() >= _params.fineQueueDepth)
-            return;
+            return false;
         cluster.fineQueue.push_back(std::move(*job.pending));
         job.pending.reset();
         ++statRasterTiles;
@@ -578,12 +566,10 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
         --covered_budget;
     }
     // Past a held tile, every scan step moves the job.
-    _progress = true;
-
     while (covered_budget > 0 && skip_budget > 0) {
         if (job.tri >= job.prim->tris.size()) {
             cluster.raster.reset();
-            return;
+            return true;
         }
         const SetupPrim &prim = job.prim->tris[job.tri];
 
@@ -647,13 +633,14 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
         if (cluster.fineQueue.size() >= _params.fineQueueDepth) {
             // Back-pressure: hold the tile and stall.
             job.pending = std::move(tile);
-            return;
+            return true;
         }
         cluster.fineQueue.push_back(tile);
         ++statRasterTiles;
         ++_frame.rasterTiles;
         --covered_budget;
     }
+    return true;
 }
 
 void
@@ -743,70 +730,69 @@ GraphicsPipeline::issueInstance(TcInstance &&instance)
         _progressListener(_frame.fragments);
 }
 
-void
-GraphicsPipeline::tickClusterTc(unsigned, ClusterState &cluster)
+bool
+GraphicsPipeline::tickClusterTc(ClusterState &cluster)
 {
     // Stage raster tiles into TC engines (up to 2 per cycle).
+    bool moved = false;
     for (int n = 0; n < 2 && !cluster.fineQueue.empty(); ++n) {
         if (!cluster.tc->tryAdd(cluster.fineQueue.front(), curCycle()))
             break;
         cluster.fineQueue.pop_front();
-        _progress = true;
+        moved = true;
     }
-    if (cluster.tc->tickTimeouts(curCycle()))
-        _progress = true;
+    moved |= cluster.tc->tickTimeouts(curCycle());
 
     // Issue at most one coalesced instance per cycle, gated by the
     // per-position interlock (cleared by a fragment-warp completion)
     // and the target core's queue space (polled).
     if (!cluster.tc->hasReady())
-        return;
+        return moved;
     const TcInstance &head = cluster.tc->peekReady();
     unsigned tc_idx = _mapping->tcIndex(head.tcX, head.tcY);
     if (_tcBusy[tc_idx])
-        return;
+        return moved;
     unsigned core_idx = _mapping->coreOf(head.tcX, head.tcY);
     unsigned warps = static_cast<unsigned>(
         divCeil(head.fragmentCount(), warpSize));
-    if (!_gpu.core(core_idx).hasTaskRoom(warps)) {
-        _simtQueueWait = true;
-        return;
-    }
+    if (!_gpu.core(core_idx).hasTaskRoom(warps))
+        return true;
     TcInstance instance = cluster.tc->popReady();
     ++statTcFlushes;
-    _progress = true;
     issueInstance(std::move(instance));
+    return true;
 }
 
-void
+bool
 GraphicsPipeline::tickCluster(unsigned cluster_idx)
 {
     ClusterState &cluster = _clusters[cluster_idx];
-    tickClusterTc(cluster_idx, cluster);
-    tickClusterRaster(cluster_idx, cluster);
-    tickClusterSetup(cluster);
-    tickClusterPmrb(cluster);
+    bool moved = tickClusterTc(cluster);
+    moved |= tickClusterRaster(cluster_idx, cluster);
+    moved |= tickClusterSetup(cluster);
+    moved |= tickClusterPmrb(cluster);
 
     // Draw drain: flush partially staged TC tiles once upstream is
     // dry for this cluster.
     if (_activeDraw && _nextPrim >= _activeDraw->primitiveCount() &&
-        _vertexWarpsOutstanding == 0 && cluster.pmrb.empty() &&
-        cluster.setupQueue.empty() && !cluster.raster &&
-        cluster.fineQueue.empty() && cluster.tc->drain()) {
-        _progress = true;
+        _vertexWarpsOutstanding == 0 && cluster.emptyAboveTc() &&
+        cluster.tc->drain()) {
+        moved = true;
     }
+    return moved;
 }
 
-void
+bool
 GraphicsPipeline::maybeFinishFrame()
 {
+    bool moved = false;
     if (_activeDraw && drawFullyDrained()) {
         _activeDraw.reset();
-        _progress = true;
+        moved = true;
     }
     if (!_activeDraw && !_drawQueue.empty()) {
         startNextDraw();
-        _progress = true;
+        moved = true;
     }
 
     if (_endRequested && !_activeDraw && _drawQueue.empty() &&
@@ -824,6 +810,7 @@ GraphicsPipeline::maybeFinishFrame()
             cb(_lastFrame);
         }
     }
+    return moved;
 }
 
 bool
@@ -833,27 +820,6 @@ GraphicsPipeline::oooRelease() const
     // non-blended draws (paper Section 3.3.6).
     return _params.oooPrimitives && _activeDraw &&
            _activeDraw->state.depthTest && !_activeDraw->state.blend;
-}
-
-bool
-GraphicsPipeline::hasLiveWork() const
-{
-    bool ooo = oooRelease();
-    for (const ClusterState &cluster : _clusters) {
-        if (!cluster.setupQueue.empty() || cluster.raster ||
-            !cluster.fineQueue.empty() || !cluster.tc->empty() ||
-            (ooo ? cluster.pmrb.anyReady()
-                 : cluster.pmrb.headReady())) {
-            return true;
-        }
-    }
-    if (!_l2Traffic.empty() && !_l2Blocked)
-        return true;
-    if (_activeDraw && _nextPrim < _activeDraw->primitiveCount() &&
-        _vertexWarpsInFlight < _params.maxVertexWarpsInFlight) {
-        return true;
-    }
-    return !_activeDraw && !_drawQueue.empty();
 }
 
 std::optional<Cycle>
@@ -908,8 +874,7 @@ GraphicsPipeline::verifyBlocked() const
         if (!cluster.setupQueue.empty() && !cluster.raster)
             no_wake("setup", c, "with an idle raster stage");
         // PMRB -> a full setup queue, or a vertex-warp completion.
-        bool ready = ooo ? cluster.pmrb.anyReady()
-                         : cluster.pmrb.headReady();
+        bool ready = cluster.pmrb.ready(ooo);
         if (ready && cluster.setupQueue.size() < _params.setupQueueDepth)
             no_wake("PMRB", c, "with a primitive setup could take");
         if (!ready && !cluster.pmrb.empty() && _vertexWarpsOutstanding == 0)
@@ -920,11 +885,9 @@ GraphicsPipeline::verifyBlocked() const
         panic("%s: L2 traffic sleeps without a pending retry",
               name().c_str());
     // Vertex distribution -> PMRB pops free warp credits.
-    if (_activeDraw && _nextPrim < _activeDraw->primitiveCount() &&
-        _vertexWarpsInFlight < _params.maxVertexWarpsInFlight) {
+    if (vertexCredit())
         panic("%s: vertex distribution sleeps with warp credit",
               name().c_str());
-    }
 }
 #endif
 
@@ -934,22 +897,21 @@ GraphicsPipeline::tick()
     if (!_frameOpen)
         return false;
 
-    _progress = false;
-    _simtQueueWait = false;
+    // Each stage reports whether it moved (or polled SIMT queue space).
+    bool moved = false;
     for (unsigned c = 0; c < _clusters.size(); ++c)
-        tickCluster(c);
-    tickVertexDistribution();
-    drainL2Traffic();
-    maybeFinishFrame();
+        moved |= tickCluster(c);
+    moved |= tickVertexDistribution();
+    moved |= drainL2Traffic();
+    moved |= maybeFinishFrame();
 
     if (!_frameOpen)
         return false;
-    if (hasLiveWork() && (_progress || _simtQueueWait))
+    if (moved)
         return true;
 
-    // Blocked or idle: ticking on would change nothing until a wake
-    // source fires. Both sleep alike, so a wake lands where a pipeline
-    // polling every cycle would first have seen it.
+    // Nothing moved, so ticking on would change nothing until a wake
+    // source fires.
 #ifdef EMERALD_CHECKS
     verifyBlocked();
 #endif

@@ -23,26 +23,26 @@
  * Work-tile granularity (WT) controls the TC-tile-to-core mapping;
  * DFSL (case study II) retunes it between frames.
  *
- * Sleep/wake contract. The pipeline ticks only while a stage can move.
- * Each stage marks progress at its natural point (a pop, a push, a
- * flush, an issue or a raster scan step). A tick ends in one of three
- * ways:
- *   - frame closed: plain sleep; beginFrame() activates it
- *   - live work and progress, or a wait on SIMT task-queue space
- *     (vertex launch, TC issue): tick again next cycle. Queue space is
- *     polled; SimtCore has no listener for it
- *   - idle (no live work: every queue empty, only warps in flight) or
- *     blocked (live work, nothing moved): Clocked::sleepBlocked(). The
- *     wake sources are a vertex or fragment warp completion (the
- *     onComplete handlers; a fragment completion clears the TC
- *     interlock), retryRequest() from the L2 link, and a timed wake at
- *     the earliest TC engine flush timeout (TcUnit::nextTimeoutCycle)
+ * Sleep/wake contract: one rule. Each stage reports whether it moved:
+ * changed state (a pop, a push, a flush, an issue or a raster scan
+ * step) or polled SIMT task-queue space (vertex launch, TC issue;
+ * SimtCore has no listener for queue space). While a frame is open, a
+ * tick in which some stage moved ticks again next cycle, and a tick in
+ * which none moved calls Clocked::sleepBlocked(). The wake sources are
+ * a vertex or fragment warp completion (the onComplete handlers; a
+ * fragment completion clears the TC interlock), retryRequest() from
+ * the L2 link, new draws or endFrame(), and a timed wake at the
+ * earliest TC engine flush timeout (TcUnit::nextTimeoutCycle). With
+ * the frame closed the pipeline sleeps until beginFrame().
+ *
  * The pipeline ticks at Event::clockPriority - 1, ahead of the SIMT
- * cores at a shared edge, so a wake from a core tick lands on the next
- * edge: exactly where a pipeline polling every cycle would first have
- * seen it. Sleeping therefore moves no simulated result. A blocked tick
- * must change no state; EMERALD_CHECKS builds verify before each
- * blocked sleep that every live stage waits on a wake source.
+ * cores at a shared edge, and a blocked sleep wakes on the next edge
+ * strictly after the wake source fired: exactly where a pipeline
+ * polling every cycle would first have seen it. Sleeping therefore
+ * moves no simulated result, and the pipeline never ticks twice at one
+ * tick while a frame is open. A tick in which nothing moved changes no
+ * state; EMERALD_CHECKS builds verify before each sleep that every
+ * stage holding work waits on a wake source.
  */
 
 #ifndef EMERALD_CORE_GRAPHICS_PIPELINE_HH
@@ -218,34 +218,43 @@ class GraphicsPipeline : public SimObject,
         std::optional<RasterJob> raster;
         std::deque<FragmentTile> fineQueue;
         std::unique_ptr<TcUnit> tc;
+
+        /** No work in the stages above the TC stage. */
+        bool
+        emptyAboveTc() const
+        {
+            return pmrb.empty() && setupQueue.empty() && !raster &&
+                   fineQueue.empty();
+        }
     };
 
     void startNextDraw();
     bool drawFullyDrained() const;
-    void tickVertexDistribution();
+    /** The draw has primitives left and a vertex warp credit free. */
+    bool vertexCredit() const;
+    /** @{ Stages: each returns whether it moved (see the file comment). */
+    bool tickVertexDistribution();
+    bool tickCluster(unsigned cluster_idx);
+    bool tickClusterPmrb(ClusterState &cluster);
+    bool tickClusterSetup(ClusterState &cluster);
+    bool tickClusterRaster(unsigned cluster_idx, ClusterState &cluster);
+    bool tickClusterTc(ClusterState &cluster);
+    bool drainL2Traffic();
+    bool maybeFinishFrame();
+    /** @} */
     void launchVertexWarp();
     void assembleVertexWarp(std::uint64_t first_seq, unsigned base_prim,
-                            unsigned prim_count, unsigned first_vert,
-                            unsigned vert_count,
+                            unsigned prim_count, unsigned vert_count,
                             isa_threads_t threads);
-    void tickCluster(unsigned cluster_idx);
-    void tickClusterPmrb(ClusterState &cluster);
-    void tickClusterSetup(ClusterState &cluster);
-    void tickClusterRaster(unsigned cluster_idx, ClusterState &cluster);
-    void tickClusterTc(unsigned cluster_idx, ClusterState &cluster);
     void issueInstance(TcInstance &&instance);
-    void pushL2Read(Addr addr, AccessKind kind);
-    void pushL2Write(Addr addr, AccessKind kind);
-    void drainL2Traffic();
-    void maybeFinishFrame();
+    /** Queue fixed-function vertex traffic (a 128 B line) for L2. */
+    void pushL2(Addr addr, bool is_write);
     /** The PMRB may release any ready entry, not just its head. */
     bool oooRelease() const;
-    /** Work that the stages could move without a warp completion. */
-    bool hasLiveWork() const;
     /** The earliest TC engine timeout flush over all clusters. */
     std::optional<Cycle> nextTcTimeout() const;
 #ifdef EMERALD_CHECKS
-    /** Panic unless every live stage waits on a wake source. */
+    /** Panic unless every stage holding work waits on a wake source. */
     void verifyBlocked() const;
 #endif
 
@@ -289,12 +298,6 @@ class GraphicsPipeline : public SimObject,
     bool _l2Blocked = false;
 
     std::function<void(std::uint64_t)> _progressListener;
-
-    /** A stage moved this tick (a pop, push, flush, issue or scan
-     * step); see tick(). */
-    bool _progress = false;
-    /** A stage waited on SIMT task-queue space this tick. */
-    bool _simtQueueWait = false;
 };
 
 } // namespace emerald::core

@@ -26,33 +26,17 @@ Pmrb::insert(PrimitiveMask mask)
              (unsigned long long)it->first);
 }
 
-bool
-Pmrb::headReady() const
-{
-    if (_masks.empty())
-        return false;
-    return _masks.begin()->first == _nextExpected;
-}
-
 PrimitiveMask
-Pmrb::popHead()
+Pmrb::pop(bool ooo)
 {
-    panic_if(!headReady(), "PMRB pop with head not ready");
+    panic_if(!ready(ooo), "PMRB pop with no %s mask ready",
+             ooo ? "buffered" : "in-order");
     PrimitiveMask mask = std::move(_masks.begin()->second);
     _masks.erase(_masks.begin());
     _occupancy -= mask.count;
-    _nextExpected += mask.count;
-    return mask;
-}
-
-PrimitiveMask
-Pmrb::popAnyReady()
-{
-    panic_if(!anyReady(), "PMRB out-of-order pop on empty buffer");
-    PrimitiveMask mask = std::move(_masks.begin()->second);
-    _masks.erase(_masks.begin());
-    _occupancy -= mask.count;
-    // Keep in-order consumers sane if modes are mixed across draws.
+    // In order this is the mask's end; out of order it never moves
+    // back, which keeps in-order consumers sane if modes are mixed
+    // across draws.
     _nextExpected =
         std::max(_nextExpected, mask.firstSeq + mask.count);
     return mask;

@@ -71,26 +71,23 @@ class Pmrb
     void insert(PrimitiveMask mask);
 
     /**
-     * True when the next in-order mask is available to consume.
+     * True when a mask can be consumed: the next in-order one or, with
+     * @p ooo, any buffered one.
      */
-    bool headReady() const;
+    bool
+    ready(bool ooo) const
+    {
+        return !_masks.empty() &&
+               (ooo || _masks.begin()->first == _nextExpected);
+    }
 
     /**
-     * Pop the next in-order mask.
-     * @pre headReady().
+     * Pop the lowest-sequence buffered mask. With @p ooo it may skip
+     * masks that have not arrived: out-of-order primitive rendering
+     * (paper Section 3.3.6: safe when depth testing is enabled and
+     * blending is disabled). @pre ready(ooo).
      */
-    PrimitiveMask popHead();
-
-    /** True when any mask (in order or not) is buffered. */
-    bool anyReady() const { return !_masks.empty(); }
-
-    /**
-     * Pop the lowest-sequence buffered mask even if earlier masks
-     * have not arrived — out-of-order primitive rendering (paper
-     * Section 3.3.6: safe when depth testing is enabled and blending
-     * is disabled). @pre anyReady().
-     */
-    PrimitiveMask popAnyReady();
+    PrimitiveMask pop(bool ooo);
 
     std::uint64_t nextExpected() const { return _nextExpected; }
     unsigned occupancy() const { return _occupancy; }

@@ -32,14 +32,14 @@ TEST(Pmrb, ReleasesInSequenceOrder)
     auto prims = std::make_shared<std::vector<PrimRecord>>();
     // Second warp's mask arrives first.
     pmrb.insert({10, 10, 0x3ffu, prims});
-    EXPECT_FALSE(pmrb.headReady());
+    EXPECT_FALSE(pmrb.ready(false));
 
     pmrb.insert({0, 10, 0x001u, prims});
-    ASSERT_TRUE(pmrb.headReady());
-    PrimitiveMask first = pmrb.popHead();
+    ASSERT_TRUE(pmrb.ready(false));
+    PrimitiveMask first = pmrb.pop(false);
     EXPECT_EQ(first.firstSeq, 0u);
-    ASSERT_TRUE(pmrb.headReady());
-    EXPECT_EQ(pmrb.popHead().firstSeq, 10u);
+    ASSERT_TRUE(pmrb.ready(false));
+    EXPECT_EQ(pmrb.pop(false).firstSeq, 10u);
     EXPECT_TRUE(pmrb.empty());
     EXPECT_EQ(pmrb.nextExpected(), 20u);
 }
@@ -53,7 +53,7 @@ TEST(Pmrb, OccupancyTracksSlots)
     pmrb.insert({0, 30, 0, prims});
     EXPECT_FALSE(pmrb.canAccept(30));
     EXPECT_TRUE(pmrb.canAccept(2));
-    pmrb.popHead();
+    pmrb.pop(false);
     EXPECT_TRUE(pmrb.canAccept(30));
 }
 
@@ -319,16 +319,16 @@ TEST(Pmrb, OutOfOrderPopSkipsMissingMasks)
     // Mask for seq 10 arrives; seq 0 has not. In-order pop stalls,
     // OOO pop (paper Section 3.3.6) proceeds.
     pmrb.insert({10, 10, 0x3u, prims});
-    EXPECT_FALSE(pmrb.headReady());
-    ASSERT_TRUE(pmrb.anyReady());
-    PrimitiveMask mask = pmrb.popAnyReady();
+    EXPECT_FALSE(pmrb.ready(false));
+    ASSERT_TRUE(pmrb.ready(true));
+    PrimitiveMask mask = pmrb.pop(true);
     EXPECT_EQ(mask.firstSeq, 10u);
     EXPECT_EQ(pmrb.occupancy(), 0u);
 
     // The late mask can still be consumed afterwards.
     pmrb.insert({0, 10, 0x1u, prims});
-    ASSERT_TRUE(pmrb.anyReady());
-    EXPECT_EQ(pmrb.popAnyReady().firstSeq, 0u);
+    ASSERT_TRUE(pmrb.ready(true));
+    EXPECT_EQ(pmrb.pop(true).firstSeq, 0u);
     EXPECT_TRUE(pmrb.empty());
 }
 
