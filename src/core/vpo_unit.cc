@@ -12,7 +12,6 @@ void
 Pmrb::reset()
 {
     _masks.clear();
-    _occupancy = 0;
     _nextExpected = 0;
 }
 
@@ -20,7 +19,6 @@ void
 Pmrb::insert(PrimitiveMask mask)
 {
     panic_if(mask.count == 0, "empty primitive mask");
-    _occupancy += mask.count;
     auto [it, inserted] = _masks.emplace(mask.firstSeq, std::move(mask));
     panic_if(!inserted, "duplicate PMRB mask for seq %llu",
              (unsigned long long)it->first);
@@ -33,7 +31,6 @@ Pmrb::pop(bool ooo)
              ooo ? "buffered" : "in-order");
     PrimitiveMask mask = std::move(_masks.begin()->second);
     _masks.erase(_masks.begin());
-    _occupancy -= mask.count;
     // In order this is the mask's end; out of order it never moves
     // back, which keeps in-order consumers sane if modes are mixed
     // across draws.

@@ -54,18 +54,8 @@ struct PrimitiveMask
 class Pmrb
 {
   public:
-    explicit Pmrb(unsigned capacity_slots = 64)
-        : _capacity(capacity_slots)
-    {}
-
     /** Prepare for a new draw. */
     void reset();
-
-    bool
-    canAccept(unsigned slots) const
-    {
-        return _occupancy + slots <= _capacity;
-    }
 
     /** Insert a mask (keyed by its firstSeq). */
     void insert(PrimitiveMask mask);
@@ -90,12 +80,9 @@ class Pmrb
     PrimitiveMask pop(bool ooo);
 
     std::uint64_t nextExpected() const { return _nextExpected; }
-    unsigned occupancy() const { return _occupancy; }
     bool empty() const { return _masks.empty(); }
 
   private:
-    unsigned _capacity;
-    unsigned _occupancy = 0;
     std::uint64_t _nextExpected = 0;
     std::map<std::uint64_t, PrimitiveMask> _masks;
 };

@@ -44,19 +44,6 @@ TEST(Pmrb, ReleasesInSequenceOrder)
     EXPECT_EQ(pmrb.nextExpected(), 20u);
 }
 
-TEST(Pmrb, OccupancyTracksSlots)
-{
-    Pmrb pmrb(32);
-    pmrb.reset();
-    auto prims = std::make_shared<std::vector<PrimRecord>>();
-    EXPECT_TRUE(pmrb.canAccept(30));
-    pmrb.insert({0, 30, 0, prims});
-    EXPECT_FALSE(pmrb.canAccept(30));
-    EXPECT_TRUE(pmrb.canAccept(2));
-    pmrb.pop(false);
-    EXPECT_TRUE(pmrb.canAccept(30));
-}
-
 TEST(ClusterMasks, CoverageFollowsBoundingBoxes)
 {
     WtMapping map(256, 192, 4, 1); // 4 cores = 4 clusters of 1.
@@ -323,7 +310,7 @@ TEST(Pmrb, OutOfOrderPopSkipsMissingMasks)
     ASSERT_TRUE(pmrb.ready(true));
     PrimitiveMask mask = pmrb.pop(true);
     EXPECT_EQ(mask.firstSeq, 10u);
-    EXPECT_EQ(pmrb.occupancy(), 0u);
+    EXPECT_TRUE(pmrb.empty());
 
     // The late mask can still be consumed afterwards.
     pmrb.insert({0, 10, 0x1u, prims});
