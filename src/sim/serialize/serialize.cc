@@ -57,6 +57,7 @@ readLE(const char *p, unsigned bytes)
 struct ManifestError
 {
     std::string msg;
+    CkptIntegrity status = CkptIntegrity::MalformedManifest;
 };
 
 /**
@@ -230,8 +231,6 @@ struct SectionEntry
     std::size_t offset = 0;
     std::size_t size = 0;
     std::uint32_t crc = 0;
-    /** Version-1 manifests carry no CRC; verification is skipped. */
-    bool hasCrc = false;
 };
 
 /** Everything a manifest.json holds, independent of error policy. */
@@ -245,11 +244,16 @@ struct ManifestData
     std::map<std::string, SectionEntry> sections;
 };
 
-/** Parse @p text (throws ManifestError on any malformation). */
+/**
+ * Parse @p text (throws ManifestError on any malformation, including a
+ * section without a CRC, and on a format version other than
+ * checkpointFormatVersion).
+ */
 ManifestData
 parseManifestText(const std::string &text, const std::string &path)
 {
     ManifestData md;
+    std::string no_crc;
     ManifestParser p(text, path);
     p.parseObject(
         [&](const std::string &key, const std::string &value) {
@@ -269,6 +273,7 @@ parseManifestText(const std::string &text, const std::string &path)
         [&](const std::string &key) {
             std::string name;
             SectionEntry entry;
+            bool saw_crc = false;
             p.parseObject(
                 [&](const std::string &k, const std::string &v) {
                     if (k == "name") {
@@ -282,7 +287,7 @@ parseManifestText(const std::string &text, const std::string &path)
                     } else if (k == "crc") {
                         entry.crc = static_cast<std::uint32_t>(
                             parseU64Field(v, k, path));
-                        entry.hasCrc = true;
+                        saw_crc = true;
                     }
                 },
                 [&](const std::string &) {
@@ -298,6 +303,8 @@ parseManifestText(const std::string &text, const std::string &path)
                     "checkpoint manifest '%s': section without a "
                     "name", path.c_str())};
             }
+            if (!saw_crc && no_crc.empty())
+                no_crc = name;
             auto [it, inserted] = md.sections.emplace(name, entry);
             if (!inserted) {
                 throw ManifestError{strprintf(
@@ -309,6 +316,19 @@ parseManifestText(const std::string &text, const std::string &path)
         throw ManifestError{strprintf(
             "checkpoint manifest '%s': missing format_version",
             path.c_str())};
+    }
+    if (md.version != checkpointFormatVersion) {
+        throw ManifestError{
+            strprintf("checkpoint manifest '%s': format version %llu "
+                      "(this binary reads version %llu)", path.c_str(),
+                      (unsigned long long)md.version,
+                      (unsigned long long)checkpointFormatVersion),
+            CkptIntegrity::UnsupportedVersion};
+    }
+    if (!no_crc.empty()) {
+        throw ManifestError{strprintf(
+            "checkpoint manifest '%s': section '%s' has no crc",
+            path.c_str(), no_crc.c_str())};
     }
     return md;
 }
@@ -376,24 +396,13 @@ probeCheckpoint(const std::string &dir)
     try {
         md = parseManifestText(text, manifest_path);
     } catch (const ManifestError &err) {
-        probe.status = CkptIntegrity::MalformedManifest;
+        probe.status = err.status;
         probe.detail = err.msg;
         return probe;
     }
     probe.fingerprint = md.fingerprint;
     probe.tick = md.tick;
     probe.numProcessed = md.numProcessed;
-
-    if (md.version < checkpointMinReadVersion ||
-        md.version > checkpointFormatVersion) {
-        probe.status = CkptIntegrity::UnsupportedVersion;
-        probe.detail = strprintf(
-            "format version %llu (this binary reads %llu..%llu)",
-            (unsigned long long)md.version,
-            (unsigned long long)checkpointMinReadVersion,
-            (unsigned long long)checkpointFormatVersion);
-        return probe;
-    }
 
     std::string data;
     if (!slurpFile(dir + "/data.bin", data, /*binary=*/true)) {
@@ -411,16 +420,14 @@ probeCheckpoint(const std::string &dir)
                 entry.offset, entry.size, data.size());
             return probe;
         }
-        if (entry.hasCrc) {
-            std::uint32_t actual =
-                crc32(data.data() + entry.offset, entry.size);
-            if (actual != entry.crc) {
-                probe.status = CkptIntegrity::CrcMismatch;
-                probe.detail = strprintf(
-                    "section '%s': crc %08x, manifest says %08x",
-                    name.c_str(), actual, entry.crc);
-                return probe;
-            }
+        std::uint32_t actual =
+            crc32(data.data() + entry.offset, entry.size);
+        if (actual != entry.crc) {
+            probe.status = CkptIntegrity::CrcMismatch;
+            probe.detail = strprintf(
+                "section '%s': crc %08x, manifest says %08x",
+                name.c_str(), actual, entry.crc);
+            return probe;
         }
     }
 
@@ -772,14 +779,6 @@ CheckpointReader::CheckpointReader(const std::string &dir) : _dir(dir)
     _tick = md.tick;
     _numProcessed = md.numProcessed;
 
-    fatal_if(md.version < checkpointMinReadVersion ||
-                 md.version > checkpointFormatVersion,
-             "checkpoint '%s' has format version %llu; this binary "
-             "reads versions %llu..%llu", _dir.c_str(),
-             (unsigned long long)md.version,
-             (unsigned long long)checkpointMinReadVersion,
-             (unsigned long long)checkpointFormatVersion);
-
     std::string data_path = _dir + "/data.bin";
     fatal_if(!slurpFile(data_path, _data, /*binary=*/true),
              "cannot open checkpoint data '%s'", data_path.c_str());
@@ -791,15 +790,13 @@ CheckpointReader::CheckpointReader(const std::string &dir) : _dir(dir)
         // Strict readers verify too: the probe-then-restore window is
         // short but a checkpoint can rot (or be truncated) between
         // the supervisor's probe and the child's restore.
-        if (entry.hasCrc) {
-            std::uint32_t actual =
-                crc32(_data.data() + entry.offset, entry.size);
-            fatal_if(actual != entry.crc,
-                     "checkpoint '%s': section '%s' fails CRC "
-                     "verification (%08x, manifest says %08x) — the "
-                     "checkpoint is corrupt", _dir.c_str(),
-                     name.c_str(), actual, entry.crc);
-        }
+        std::uint32_t actual =
+            crc32(_data.data() + entry.offset, entry.size);
+        fatal_if(actual != entry.crc,
+                 "checkpoint '%s': section '%s' fails CRC "
+                 "verification (%08x, manifest says %08x) — the "
+                 "checkpoint is corrupt", _dir.c_str(), name.c_str(),
+                 actual, entry.crc);
         _sections.emplace(name,
                           SectionRef{entry.offset, entry.size});
     }

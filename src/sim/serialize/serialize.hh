@@ -41,13 +41,10 @@ enum class RecordType : std::uint8_t
 /**
  * Bump on any incompatible change to the record or manifest format.
  * Version 2 added a per-section CRC-32 to the manifest's section
- * table; the reader still accepts version-1 checkpoints (no CRC
- * entries, so integrity verification is skipped for them).
+ * table. The reader accepts this version only, and every section must
+ * carry its CRC.
  */
 constexpr std::uint64_t checkpointFormatVersion = 2;
-
-/** Oldest manifest format this binary still reads. */
-constexpr std::uint64_t checkpointMinReadVersion = 1;
 
 /** CRC-32 (IEEE, reflected polynomial 0xEDB88320) of @p n bytes. */
 std::uint32_t crc32(const void *bytes, std::size_t n);
@@ -65,7 +62,7 @@ enum class CkptIntegrity : std::uint8_t
     MissingManifest,
     /** manifest.json exists but does not parse or lacks fields. */
     MalformedManifest,
-    /** Format version outside [min read, current]. */
+    /** Format version other than checkpointFormatVersion. */
     UnsupportedVersion,
     /** manifest.json is fine but data.bin is absent. */
     MissingData,
@@ -94,7 +91,7 @@ struct CkptProbe
 /**
  * Inspect the checkpoint directory @p dir without restoring from it:
  * parse the manifest, bounds-check every section against data.bin and
- * verify each section's CRC (format >= 2). Never fatal — a truncated
+ * verify each section's CRC. Never fatal — a truncated
  * or corrupt checkpoint comes back as a typed, diagnosable status so
  * recovery code can skip it.
  */

@@ -450,67 +450,63 @@ TEST(CheckpointProbe, MissingAndMalformedPieces)
               CkptIntegrity::MalformedManifest);
 }
 
-/** Rewrite @p dir's manifest as a version-1 checkpoint: no CRC
- *  entries, so integrity verification downgrades to bounds checks. */
-void
-downgradeManifestToV1(const std::string &dir)
+std::string
+manifestText(const std::string &dir)
 {
-    std::string path = dir + "/manifest.json";
-    std::ifstream in(path);
+    std::ifstream in(dir + "/manifest.json");
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::string text = buf.str();
-    in.close();
+    return buf.str();
+}
 
-    auto vpos = text.find("\"format_version\": \"2\"");
-    ASSERT_NE(vpos, std::string::npos);
-    text.replace(vpos, std::strlen("\"format_version\": \"2\""),
-                 "\"format_version\": \"1\"");
-    for (std::string::size_type pos;
-         (pos = text.find(", \"crc\": \"")) != std::string::npos;) {
-        auto end = text.find('"', pos + std::strlen(", \"crc\": \""));
-        ASSERT_NE(end, std::string::npos);
-        text.erase(pos, end + 1 - pos);
-    }
-    std::ofstream out(path, std::ios::trunc);
+/** Replace @p from with @p to, once, in @p dir's manifest.json. */
+void
+editManifest(const std::string &dir, const std::string &from,
+             const std::string &to)
+{
+    std::string text = manifestText(dir);
+    auto pos = text.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    text.replace(pos, from.size(), to);
+    std::ofstream out(dir + "/manifest.json", std::ios::trunc);
     out << text;
 }
 
-TEST(CheckpointProbe, Version1ManifestStillReadsWithoutCrc)
+TEST(CheckpointProbe, Version1ManifestIsUnsupported)
 {
+    // Version 1 had no section CRCs, so a corrupt v1 checkpoint would
+    // restore unverified: neither the probe nor the reader takes it.
     std::string dir = probeFixture("probe_v1");
-    downgradeManifestToV1(dir);
+    editManifest(dir, "\"format_version\": \"2\"",
+                 "\"format_version\": \"1\"");
+    EXPECT_EQ(probeCheckpoint(dir).status,
+              CkptIntegrity::UnsupportedVersion);
+    EXPECT_DEATH(CheckpointReader r(dir), "format version 1");
+}
 
-    // Probe passes (no CRCs to verify) and the reader still serves
-    // the sections: min-read compatibility.
-    EXPECT_EQ(probeCheckpoint(dir).status, CkptIntegrity::Ok);
-    CheckpointReader r(dir);
-    EXPECT_EQ(r.section("alpha").getU64("x"), 11u);
+TEST(CheckpointProbe, MissingCrcIsMalformedManifest)
+{
+    // A current-version section without its CRC would go unverified.
+    std::string dir = probeFixture("probe_nocrc");
+    std::string text = manifestText(dir);
+    auto pos = text.find(", \"crc\": \"");
+    ASSERT_NE(pos, std::string::npos);
+    auto end = text.find('"', pos + std::strlen(", \"crc\": \""));
+    ASSERT_NE(end, std::string::npos);
+    editManifest(dir, text.substr(pos, end + 1 - pos), "");
 
-    // A corrupt v1 checkpoint sails through the probe — exactly why
-    // the format moved to 2.
-    auto size = std::filesystem::file_size(dir + "/data.bin");
-    patchFile(dir + "/data.bin", static_cast<long>(size) - 3, 'X');
-    EXPECT_EQ(probeCheckpoint(dir).status, CkptIntegrity::Ok);
+    CkptProbe probe = probeCheckpoint(dir);
+    EXPECT_EQ(probe.status, CkptIntegrity::MalformedManifest);
+    EXPECT_NE(probe.detail.find("has no crc"), std::string::npos)
+        << probe.detail;
+    EXPECT_DEATH(CheckpointReader r(dir), "has no crc");
 }
 
 TEST(CheckpointProbe, FutureVersionIsUnsupported)
 {
     std::string dir = probeFixture("probe_future");
-    std::string path = dir + "/manifest.json";
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
-    in.close();
-    auto vpos = text.find("\"format_version\": \"2\"");
-    ASSERT_NE(vpos, std::string::npos);
-    text.replace(vpos, std::strlen("\"format_version\": \"2\""),
+    editManifest(dir, "\"format_version\": \"2\"",
                  "\"format_version\": \"99\"");
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << text;
-    }
     EXPECT_EQ(probeCheckpoint(dir).status,
               CkptIntegrity::UnsupportedVersion);
     EXPECT_DEATH(CheckpointReader r(dir), "format version");
