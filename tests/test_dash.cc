@@ -224,18 +224,46 @@ TEST(DashScheduler, PicksUrgentIpFirst)
 
 TEST(DashCoordinator, ProbabilityAdapts)
 {
-    Simulation sim;
-    DashParams p = testParams();
-    DashCoordinator dash(sim, "dash", p);
-    dash.registerIp("gpu", TrafficClass::Gpu, 0.9);
+    // Each switching unit steers P toward the side it starved: up by
+    // pStep when non-urgent IPs got more service than intensive CPU
+    // cores, down in the opposite case, clamped to [0.05, 0.95].
+    const DashParams params = testParams();
+    const Tick unit = params.switchingUnit;
 
-    double p0 = dash.currentP();
-    // Run several switching periods with no service imbalance data;
-    // P drifts but stays within bounds.
-    sim.run(ticksFromUs(50.0));
-    EXPECT_GE(dash.currentP(), 0.05);
-    EXPECT_LE(dash.currentP(), 0.95);
-    (void)p0;
+    Simulation sim;
+    DashCoordinator dash(sim, "dash", params);
+    dash.registerIp("gpu", TrafficClass::Gpu, 0.9); // Never urgent.
+    for (int i = 0; i < 8; ++i) {
+        MemPacket c = cpuPkt(3);
+        dash.serviced(c, 0);
+    }
+    dash.recluster();
+    ASSERT_TRUE(dash.cpuIntensive(3));
+    EXPECT_NEAR(dash.currentP(), 0.5, 1e-9);
+
+    // Serve @p pkt inside the next unit; P as of that unit's end.
+    Tick boundary = 0;
+    auto serveUnit = [&](const MemPacket &pkt) {
+        advanceTo(sim, boundary + unit / 2);
+        dash.serviced(pkt, sim.curTick());
+        boundary += unit;
+        advanceTo(sim, boundary);
+        return dash.currentP();
+    };
+    // The whole test stays inside the first quantum (100 units), so
+    // core 3 stays intensive.
+    const MemPacket gpu = gpuPkt();
+    for (int k = 1; k <= 12; ++k) {
+        EXPECT_NEAR(serveUnit(gpu), std::min(0.95, 0.5 + 0.05 * k), 1e-9)
+            << "GPU-only unit " << k;
+    }
+    const MemPacket cpu3 = cpuPkt(3);
+    for (int k = 1; k <= 21; ++k) {
+        EXPECT_NEAR(serveUnit(cpu3), std::max(0.05, 0.95 - 0.05 * k),
+                    1e-9)
+            << "CPU-only unit " << k;
+    }
+    ASSERT_TRUE(dash.cpuIntensive(3));
     dash.shutdown();
 }
 
